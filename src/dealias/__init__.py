@@ -8,11 +8,12 @@ harness, threshold sweeps, inter-rater agreement and pair triage are
 included, along with a CLI (``dealias --help``).
 """
 
-from .baselines import bird_match, simple_match
+from .baselines import bird_match, bird_score, simple_match
 from .clustering import (METHODS, Partition, disambiguate, matched_pairs,
-                         merge_partitions)
+                         merge_partitions, pair_score, scored_pairs)
 from .errors import (AliasFileError, DealiasError, DuplicateAliasIdError,
-                     PartitionFileError, UniverseMismatchError)
+                     EmptyClusterError, PartitionFileError,
+                     UniverseMismatchError)
 from .evaluation import (EvalReport, SweepRow, TriageResult, cohen_kappa,
                          evaluate, sweep, triage, write_sweep_csv)
 from .normalize import (Alias, RawAlias, StopWordConfig, extract_entities,
@@ -28,15 +29,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alias", "AliasFileError", "DealiasError", "DuplicateAliasIdError",
-    "EvalReport", "JaroBreakdown", "MatcherConfig", "Measure", "METHODS",
-    "Partition", "PartitionFileError", "RawAlias", "StopWordConfig",
-    "SweepRow", "TriageResult", "UniverseMismatchError", "bird_match",
-    "cohen_kappa", "disambiguate", "evaluate", "extract_entities",
-    "extract_from_log", "is_match", "jaro_breakdown", "jaro_similarity",
-    "jaro_winkler_similarity", "levenshtein_distance",
+    "EmptyClusterError", "EvalReport", "JaroBreakdown", "MatcherConfig",
+    "Measure", "METHODS", "Partition", "PartitionFileError", "RawAlias",
+    "StopWordConfig", "SweepRow", "TriageResult", "UniverseMismatchError",
+    "bird_match", "bird_score", "cohen_kappa", "disambiguate", "evaluate",
+    "extract_entities", "extract_from_log", "is_match", "jaro_breakdown",
+    "jaro_similarity", "jaro_winkler_similarity", "levenshtein_distance",
     "levenshtein_similarity", "matched_pairs", "merge_partitions",
-    "prepare_alias", "prepare_aliases", "preprocess", "read_aliases",
-    "read_partition", "score_pair", "simple_match", "sweep",
-    "top_two_average", "triage", "write_aliases", "write_partition",
-    "write_sweep_csv",
+    "pair_score", "prepare_alias", "prepare_aliases", "preprocess",
+    "read_aliases", "read_partition", "score_pair", "scored_pairs",
+    "simple_match", "sweep", "top_two_average", "triage", "write_aliases",
+    "write_partition", "write_sweep_csv",
 ]

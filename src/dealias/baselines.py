@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import inf
+
 from .normalize import Alias
 from .rules import (DEFAULT_CONFIG, MatcherConfig, _contains_both_names,
                     _contains_first_initial, _contains_initial_last)
@@ -49,3 +51,31 @@ def bird_match(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> bool:
     if _contains_first_initial(a, b, m) or _contains_first_initial(b, a, m):
         return True
     return gs(a.email_base, b.email_base) >= t
+
+
+def bird_score(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> float:
+    """The pair score of :func:`bird_match`: the pair matches at threshold
+    t exactly when this is >= t.
+
+    +inf when a containment condition holds, otherwise the largest of the
+    full-name similarity, the smaller of the first-name and last-name
+    similarities, and the email-base similarity. ``cfg.threshold`` is not
+    used.
+    """
+    m = cfg.min_len
+    if (_contains_both_names(a, b, m) or _contains_both_names(b, a, m)
+            or _contains_initial_last(a, b, m) or _contains_initial_last(b, a, m)
+            or _contains_first_initial(a, b, m)
+            or _contains_first_initial(b, a, m)):
+        return inf
+    sim = cfg.measure.function()
+
+    def gs(x: str, y: str) -> float:
+        if len(x) < m or len(y) < m:
+            return 0.0
+        return sim(x, y)
+
+    return max(gs(a.name, b.name),
+               min(gs(a.first_name, b.first_name),
+                   gs(a.last_name, b.last_name)),
+               gs(a.email_base, b.email_base))

@@ -13,6 +13,10 @@ class PartitionFileError(DealiasError):
     """Malformed partition file."""
 
 
+class EmptyClusterError(DealiasError):
+    """A partition given as clusters has a cluster with no members."""
+
+
 class DuplicateAliasIdError(DealiasError):
     """Two alias records share the same id."""
 

@@ -5,10 +5,13 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .clustering import Partition, _DisjointSet, disambiguate
+from .clustering import (ENGINES, Partition, _alias_ids, _DisjointSet,
+                         scored_pairs)
+# kept in this namespace, where bench/workloads.py wraps it for its trace
+from .clustering import disambiguate  # noqa: F401
 from .errors import UniverseMismatchError
 from .normalize import Alias
 from .rules import MatcherConfig
@@ -72,7 +75,7 @@ def evaluate(predicted: Partition, truth: Partition) -> EvalReport:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One disambiguation run inside a sweep."""
+    """One (method, measure, threshold) point of a sweep."""
 
     method: str
     measure: Measure | None   # None for methods that ignore the measure
@@ -87,34 +90,72 @@ def sweep(aliases: list[Alias], truth: Partition,
           thresholds: Sequence[float] = (0.95,),
           min_len: int = 3, workers: int = 1,
           engine: str = "auto") -> list[SweepRow]:
-    """Run one disambiguation per (method, measure, threshold) combination
-    and score each against the truth. The simple method has no parameters,
-    so it contributes a single row."""
+    """Score one disambiguation per (method, measure, threshold) against the
+    truth. The simple method has no parameters, so it contributes a single
+    row. Rows come with methods and measures in the order given and
+    thresholds ascending.
+
+    No pair score depends on the threshold, and a pair matches at t exactly
+    when its score is >= t. So each (method, measure) is scanned once, at the
+    lowest threshold, and every threshold's partition is read from one
+    union-find pass over the scored pairs, highest score first. A row's
+    ``wall_time_s`` is an even share of its group's scan plus its own
+    closure and evaluation, so the rows add up to the sweep's time.
+
+    The scan needs pair scores, which the numba engine does not give:
+    ``engine="numba"`` is rejected, and ``"auto"`` runs the pure scan.
+    """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    if engine == "numba":
+        raise ValueError("sweep needs pair scores, which the numba engine "
+                         "does not give; use --engine auto or python")
     thresholds = sorted(set(thresholds))
     for t in thresholds:
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"threshold out of range: {t}")
     if not thresholds:
         raise ValueError("no thresholds given")
+    ids = _alias_ids(aliases)
 
     rows: list[SweepRow] = []
     for method in methods:
         if method == "simple":
             cfg = MatcherConfig(min_len=min_len)
-            start = time.perf_counter()
-            part = disambiguate(aliases, method, cfg, workers, engine)
-            report = evaluate(part, truth)
-            rows.append(SweepRow(method, None, None, report,
-                                 time.perf_counter() - start))
+            (row,) = _sweep_group(aliases, ids, truth, method, cfg,
+                                  [cfg.threshold], workers)
+            rows.append(replace(row, measure=None, threshold=None))
             continue
         for measure in measures:
-            for t in thresholds:
-                cfg = MatcherConfig(threshold=t, measure=measure, min_len=min_len)
-                start = time.perf_counter()
-                part = disambiguate(aliases, method, cfg, workers, engine)
-                report = evaluate(part, truth)
-                rows.append(SweepRow(method, measure, t, report,
-                                     time.perf_counter() - start))
+            cfg = MatcherConfig(threshold=thresholds[0], measure=measure,
+                                min_len=min_len)
+            rows += _sweep_group(aliases, ids, truth, method, cfg,
+                                 thresholds, workers)
+    return rows
+
+
+def _sweep_group(aliases: list[Alias], ids: list[str], truth: Partition,
+                 method: str, cfg: MatcherConfig, thresholds: list[float],
+                 workers: int) -> list[SweepRow]:
+    """The rows of one (method, measure) at the ascending ``thresholds``,
+    from one scan at ``cfg.threshold``, the lowest of them."""
+    start = time.perf_counter()
+    scored = scored_pairs(aliases, method, cfg, workers)
+    scored.sort(reverse=True)
+    scan_share = (time.perf_counter() - start) / len(thresholds)
+    dsu = _DisjointSet(len(ids))
+    rows = []
+    k = 0
+    for t in reversed(thresholds):
+        start = time.perf_counter()
+        while k < len(scored) and scored[k][0] >= t:
+            _, i, j = scored[k]
+            dsu.union(i, j)
+            k += 1
+        report = evaluate(dsu.partition(ids), truth)
+        rows.append(SweepRow(method, cfg.measure, t, report,
+                             scan_share + time.perf_counter() - start))
+    rows.reverse()
     return rows
 
 

@@ -16,36 +16,58 @@ ALIAS_HEADER = ["id", "name", "email"]
 PARTITION_HEADER = ["alias_id", "author_id"]
 
 
+def _undecodable_line(path) -> int:
+    """Number of the first line of ``path`` that is not valid UTF-8.
+
+    Lines are decoded one at a time: no byte of a multi-byte UTF-8
+    sequence is a line break, so a line decodes on its own exactly when it
+    decodes inside the whole file.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for line_no, line in enumerate(data.splitlines(), start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return line_no
+    return 1  # not reached for a file the text reader rejected
+
+
 def read_aliases(path) -> list[RawAlias]:
     """Load alias records from a CSV file with header ``id,name,email``.
 
     Raises :class:`AliasFileError` (with the offending line number) on a bad
-    header, wrong field count, empty id, or duplicate id.
+    header, wrong field count, empty id, duplicate id, or bytes that are
+    not UTF-8.
     """
     records: list[RawAlias] = []
     seen: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ALIAS_HEADER:
-            raise AliasFileError(
-                f"{path}:1: expected header {','.join(ALIAS_HEADER)!r}, "
-                f"got {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue  # stray blank line
-            if len(row) != 3:
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ALIAS_HEADER:
                 raise AliasFileError(
-                    f"{path}:{line_no}: expected 3 fields, got {len(row)}")
-            alias_id, name, email = row
-            if not alias_id:
-                raise AliasFileError(f"{path}:{line_no}: empty alias id")
-            if alias_id in seen:
-                raise AliasFileError(
-                    f"{path}:{line_no}: duplicate alias id {alias_id!r} "
-                    f"(first seen on line {seen[alias_id]})")
-            seen[alias_id] = line_no
-            records.append(RawAlias(alias_id, name, email))
+                    f"{path}:1: expected header {','.join(ALIAS_HEADER)!r}, "
+                    f"got {header!r}")
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue  # stray blank line
+                if len(row) != 3:
+                    raise AliasFileError(
+                        f"{path}:{line_no}: expected 3 fields, got {len(row)}")
+                alias_id, name, email = row
+                if not alias_id:
+                    raise AliasFileError(f"{path}:{line_no}: empty alias id")
+                if alias_id in seen:
+                    raise AliasFileError(
+                        f"{path}:{line_no}: duplicate alias id {alias_id!r} "
+                        f"(first seen on line {seen[alias_id]})")
+                seen[alias_id] = line_no
+                records.append(RawAlias(alias_id, name, email))
+    except UnicodeDecodeError:
+        raise AliasFileError(
+            f"{path}:{_undecodable_line(path)}: not valid UTF-8") from None
     return records
 
 
@@ -93,24 +115,28 @@ def write_partition(partition: Partition, path) -> None:
 def read_partition(path) -> Partition:
     """Load a partition file; author labels are re-canonicalized on load."""
     assignment: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != PARTITION_HEADER:
-            raise PartitionFileError(
-                f"{path}:1: expected header {','.join(PARTITION_HEADER)!r}, "
-                f"got {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != PARTITION_HEADER:
                 raise PartitionFileError(
-                    f"{path}:{line_no}: expected 2 fields, got {len(row)}")
-            alias_id, author_id = row
-            if not alias_id or not author_id:
-                raise PartitionFileError(f"{path}:{line_no}: empty field")
-            if alias_id in assignment:
-                raise PartitionFileError(
-                    f"{path}:{line_no}: alias id {alias_id!r} assigned twice")
-            assignment[alias_id] = author_id
+                    f"{path}:1: expected header {','.join(PARTITION_HEADER)!r}, "
+                    f"got {header!r}")
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise PartitionFileError(
+                        f"{path}:{line_no}: expected 2 fields, got {len(row)}")
+                alias_id, author_id = row
+                if not alias_id or not author_id:
+                    raise PartitionFileError(f"{path}:{line_no}: empty field")
+                if alias_id in assignment:
+                    raise PartitionFileError(
+                        f"{path}:{line_no}: alias id {alias_id!r} assigned twice")
+                assignment[alias_id] = author_id
+    except UnicodeDecodeError:
+        raise PartitionFileError(
+            f"{path}:{_undecodable_line(path)}: not valid UTF-8") from None
     return Partition(assignment)

@@ -72,17 +72,19 @@ def closure_components(n: int, edges: list[tuple[int, int]]) -> list[int]:
     return [min(j for j in range(n) if reach[i][j]) for i in range(n)]
 
 
+def reference_match(a, b, method, cfg) -> bool:
+    """The reference decision of ``method`` on one pair."""
+    if method == "gambit":
+        return is_match(score_pair(a, b, cfg), cfg)
+    if method == "simple":
+        return simple_match(a, b, cfg)
+    if method == "bird":
+        return bird_match(a, b, cfg)
+    raise ValueError(f"unknown method {method!r}")
+
+
 def all_pairs_matches(aliases, method, cfg) -> list[tuple[int, int]]:
     """Every index pair (i, j), i < j, that the reference decision of
     ``method`` matches, found by deciding all n(n-1)/2 pairs."""
-    def decide(a, b):
-        if method == "gambit":
-            return is_match(score_pair(a, b, cfg), cfg)
-        if method == "simple":
-            return simple_match(a, b, cfg)
-        if method == "bird":
-            return bird_match(a, b, cfg)
-        raise ValueError(f"unknown method {method!r}")
-
     return [(i, j) for i, j in combinations(range(len(aliases)), 2)
-            if decide(aliases[i], aliases[j])]
+            if reference_match(aliases[i], aliases[j], method, cfg)]

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 import string
 
+from hypothesis import strategies as st
+
 from dealias import Alias, extract_entities
 
 FIRST_NAMES = ["john", "jane", "wei", "jose", "olga", "grace", "sara",
@@ -86,3 +88,24 @@ def mixed_corpus(seed: int, n: int) -> list[Alias]:
                 out.append(make_alias(f"a{i:05d}", name, email))
                 i += 1
     return out
+
+
+# few letters and a small pool of shared tokens, so that equal, similar,
+# swapped and contained fields are common; long tokens reach the join's
+# direct comparison of strings with large deletion neighbourhoods
+_tokens = st.one_of(st.sampled_from(["ab", "abc", "abcd", "dcba", "abcab"]),
+                    st.text(alphabet="abcd", min_size=1, max_size=14))
+
+
+def alias_lists(min_size: int = 2, max_size: int = 30):
+    """Hypothesis strategy: lists of aliases with ids a00, a01, ..."""
+    return st.lists(
+        st.tuples(st.lists(_tokens, max_size=3).map(" ".join),
+                  st.one_of(st.just(""),
+                            st.builds("{}@{}".format,
+                                      st.lists(_tokens, max_size=2)
+                                      .map(" ".join),
+                                      st.sampled_from(["x", "y z"])))),
+        min_size=min_size, max_size=max_size,
+    ).map(lambda rows: [make_alias(f"a{k:02d}", name, email)
+                        for k, (name, email) in enumerate(rows)])

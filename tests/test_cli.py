@@ -113,6 +113,24 @@ def test_sweep_writes_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_rejects_numba_engine(capsys):
+    assert run_cli("sweep", FIXTURE_ALIASES, FIXTURE_TRUTH,
+                   "--engine", "numba") == 2
+    assert ("sweep needs pair scores, which the numba engine does not give"
+            in capsys.readouterr().err)
+
+
+def test_input_not_utf8_exits_2(tmp_path, capsys):
+    aliases = tmp_path / "a.csv"
+    aliases.write_bytes(b"id,name,email\nx1,Jos\xe9,j@x.co\n")
+    assert run_cli("disambiguate", str(aliases)) == 2
+    assert f"{aliases}:2: not valid UTF-8" in capsys.readouterr().err
+    truth = tmp_path / "t.csv"
+    truth.write_bytes(b"alias_id,author_id\nx1,\xe9\n")
+    assert run_cli("evaluate", str(truth), str(truth)) == 2
+    assert f"{truth}:2: not valid UTF-8" in capsys.readouterr().err
+
+
 def test_triage_writes_three_files(tmp_path, capsys):
     prefix = tmp_path / "t"
     assert run_cli("triage", FIXTURE_ALIASES, "--out-prefix", str(prefix)) == 0
@@ -172,3 +190,13 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "disambiguate" in proc.stdout
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy serves only the optional compiled scan
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dealias.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,16 +1,19 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dealias import clustering, fastscan
 from dealias.clustering import (ENGINES, METHODS, Partition, _DisjointSet,
-                                disambiguate, matched_pairs, merge_partitions)
-from dealias.errors import DuplicateAliasIdError, UniverseMismatchError
+                                disambiguate, matched_pairs, merge_partitions,
+                                pair_score)
+from dealias.errors import (DealiasError, DuplicateAliasIdError,
+                            EmptyClusterError, UniverseMismatchError)
 from dealias.rules import MatcherConfig
 from dealias.similarity import Measure
-from oracles import all_pairs_matches, closure_components
-from synth import make_alias, mixed_corpus, random_corpus
+from oracles import all_pairs_matches, closure_components, reference_match
+from synth import alias_lists, make_alias, mixed_corpus, random_corpus
 
 
 def test_partition_canonical_labels():
@@ -36,6 +39,12 @@ def test_partition_from_clusters():
     assert p.clusters() == {"a": ["a", "b"], "c": ["c"]}
     with pytest.raises(DuplicateAliasIdError):
         Partition.from_clusters([["a", "b"], ["b"]])
+
+
+def test_partition_from_clusters_rejects_empty_cluster():
+    with pytest.raises(EmptyClusterError, match="position 1 "):
+        Partition.from_clusters([["a"], [], ["b"]])
+    assert issubclass(EmptyClusterError, DealiasError)
 
 
 def test_partition_universe():
@@ -123,24 +132,8 @@ def test_engines_equivalent_on_random_corpus(monkeypatch):
                                                  method, measure, t)
 
 
-# few letters and a small pool of shared tokens, so that equal, similar,
-# swapped and contained fields are common; long tokens reach the join's
-# direct comparison of strings with large deletion neighbourhoods
-_tokens = st.one_of(st.sampled_from(["ab", "abc", "abcd", "dcba", "abcab"]),
-                    st.text(alphabet="abcd", min_size=1, max_size=14))
-_aliases = st.lists(
-    st.tuples(st.lists(_tokens, max_size=3).map(" ".join),
-              st.one_of(st.just(""),
-                        st.builds("{}@{}".format,
-                                  st.lists(_tokens, max_size=2).map(" ".join),
-                                  st.sampled_from(["x", "y z"])))),
-    min_size=2, max_size=30,
-).map(lambda rows: [make_alias(f"a{k:02d}", name, email)
-                    for k, (name, email) in enumerate(rows)])
-
-
 @settings(max_examples=200, deadline=None)
-@given(_aliases, st.floats(0.5, 1.0), st.sampled_from(METHODS),
+@given(alias_lists(), st.floats(0.5, 1.0), st.sampled_from(METHODS),
        st.integers(1, 4))
 # swapped name order, nothing else shared: only rules 3 and 4 fire
 @example([make_alias("a", "abc abcd", ""), make_alias("b", "abcd abc", "")],
@@ -159,6 +152,27 @@ def test_blocked_scan_equals_all_pairs_at_any_threshold(aliases, t, method,
     cfg = MatcherConfig(threshold=t, min_len=min_len)
     assert (matched_pairs(aliases, method, cfg, engine="python")
             == all_pairs_matches(aliases, method, cfg))
+
+
+@settings(max_examples=300, deadline=None)
+@given(alias_lists(max_size=6), st.sampled_from(METHODS),
+       st.sampled_from(list(Measure)), st.floats(0.0, 1.0),
+       st.integers(1, 4))
+def test_pair_score_reaches_threshold_exactly_when_reference_matches(
+        aliases, method, measure, t, min_len):
+    # the score is taken at one threshold and compared with the reference
+    # decision at t and at the score itself, so it must not depend on the
+    # threshold and must match at a cut equal to it
+    for a, b in combinations(aliases, 2):
+        score = pair_score(a, b, method, MatcherConfig(
+            threshold=t, measure=measure, min_len=min_len))
+        for cut in (t, score):
+            if not 0.0 <= cut <= 1.0:
+                continue  # +-inf for simple and bird, up to 2 for gambit
+            cfg = MatcherConfig(threshold=cut, measure=measure,
+                                min_len=min_len)
+            assert (score >= cut) == reference_match(a, b, method, cfg), (
+                a, b, method, measure, cut, score)
 
 
 def test_encode_corpus_round_trip_lengths():

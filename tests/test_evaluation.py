@@ -1,17 +1,19 @@
 import io
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dealias.clustering import Partition
+from dealias import clustering
+from dealias.clustering import METHODS, Partition, disambiguate
 from dealias.errors import UniverseMismatchError
 from dealias.evaluation import (EvalReport, SWEEP_HEADER, cohen_kappa,
                                 evaluate, sweep, triage, write_sweep_csv)
 from dealias.rules import MatcherConfig
 from dealias.similarity import Measure
 from oracles import brute_force_counts
-from synth import make_alias, random_corpus
+from synth import alias_lists, make_alias, random_corpus
 
 
 def partition_of(groups):
@@ -176,3 +178,51 @@ def test_sweep_thresholds_sorted_and_validated():
         sweep(aliases, truth, thresholds=(1.5,))
     with pytest.raises(ValueError):
         sweep(aliases, truth, thresholds=())
+
+
+def _reference_sweep(aliases, truth, measures, thresholds, min_len):
+    """One disambiguation and evaluation per row, every method."""
+    rows = []
+    for method in METHODS:
+        if method == "simple":
+            part = disambiguate(aliases, method, MatcherConfig(min_len=min_len),
+                                engine="python")
+            rows.append((method, None, None, evaluate(part, truth)))
+            continue
+        for measure in measures:
+            for t in sorted(set(thresholds)):
+                cfg = MatcherConfig(threshold=t, measure=measure,
+                                    min_len=min_len)
+                part = disambiguate(aliases, method, cfg, engine="python")
+                rows.append((method, measure, t, evaluate(part, truth)))
+    return rows
+
+
+_grid_values = st.sampled_from([0.5, 0.75, 0.8, 0.9, 0.95, 1.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), alias_lists(max_size=16),
+       st.one_of(
+           # unsorted, with duplicates, anywhere in [0, 1]
+           st.lists(st.one_of(_grid_values, st.floats(0.0, 1.0)),
+                    min_size=1, max_size=5),
+           # entirely above 0.75, where gambit and bird scan through the index
+           st.lists(st.one_of(_grid_values.filter(lambda t: t > 0.75),
+                              st.floats(0.76, 1.0)),
+                    min_size=1, max_size=5)),
+       st.integers(1, 4), st.sampled_from([1, 2]))
+def test_sweep_rows_equal_one_disambiguation_per_row(data, aliases,
+                                                     thresholds, min_len,
+                                                     workers):
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=len(aliases),
+                                max_size=len(aliases)))
+    truth = Partition({a.id: f"p{k}" for a, k in zip(aliases, labels)})
+    measures = list(Measure)
+    # let the worker pool run on these small corpora
+    with mock.patch.object(clustering, "_WORKERS_MIN_ALIASES", 2):
+        rows = sweep(aliases, truth, METHODS, measures, thresholds,
+                     min_len=min_len, workers=workers)
+    assert ([(r.method, r.measure, r.threshold, r.report) for r in rows]
+            == _reference_sweep(aliases, truth, measures, thresholds, min_len))
+

@@ -50,6 +50,18 @@ def test_read_aliases_tolerates_bom_and_blank_lines(tmp_path):
     assert [r.id for r in read_aliases(path)] == ["a1", "a2"]
 
 
+def test_read_aliases_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"id,name,email\r\na1,Jose,j@x\r\na2,Jos\xe9,j2@x\r\n")
+    with pytest.raises(AliasFileError, match=r"latin1\.csv:3: not valid UTF-8"):
+        read_aliases(path)
+    # past the text reader's first block, and after a multi-byte character
+    rows = [f"a{k},Jos\u00e9,j{k}@x\n".encode() for k in range(1000)]
+    path.write_bytes(b"id,name,email\n" + b"".join(rows) + b"b,\xff,y\n")
+    with pytest.raises(AliasFileError, match=":1002: not valid UTF-8"):
+        read_aliases(path)
+
+
 def test_read_aliases_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_aliases(tmp_path / "nope.csv")
@@ -108,4 +120,11 @@ def test_read_partition_errors(tmp_path):
         read_partition(path)
     path.write_text("alias_id,author_id\na,\n")
     with pytest.raises(PartitionFileError, match="empty"):
+        read_partition(path)
+
+
+def test_read_partition_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"\xef\xbb\xbfalias_id,author_id\na1,a1\na2,\xe9\n")
+    with pytest.raises(PartitionFileError, match=r"p\.csv:3: not valid UTF-8"):
         read_partition(path)
