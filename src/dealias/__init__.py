@@ -13,7 +13,7 @@ from .clustering import (METHODS, Partition, disambiguate, matched_pairs,
                          merge_partitions, pair_score, scored_pairs)
 from .errors import (AliasFileError, DealiasError, DuplicateAliasIdError,
                      EmptyClusterError, PartitionFileError,
-                     UniverseMismatchError)
+                     StopWordFileError, UniverseMismatchError)
 from .evaluation import (EvalReport, SweepRow, TriageResult, cohen_kappa,
                          evaluate, sweep, triage, write_sweep_csv)
 from .normalize import (Alias, RawAlias, StopWordConfig, extract_entities,
@@ -31,10 +31,11 @@ __all__ = [
     "Alias", "AliasFileError", "DealiasError", "DuplicateAliasIdError",
     "EmptyClusterError", "EvalReport", "JaroBreakdown", "MatcherConfig",
     "Measure", "METHODS", "Partition", "PartitionFileError", "RawAlias",
-    "StopWordConfig", "SweepRow", "TriageResult", "UniverseMismatchError",
-    "bird_match", "bird_score", "cohen_kappa", "disambiguate", "evaluate",
-    "extract_entities", "extract_from_log", "is_match", "jaro_breakdown",
-    "jaro_similarity", "jaro_winkler_similarity", "levenshtein_distance",
+    "StopWordConfig", "StopWordFileError", "SweepRow", "TriageResult",
+    "UniverseMismatchError", "bird_match", "bird_score", "cohen_kappa",
+    "disambiguate", "evaluate", "extract_entities", "extract_from_log",
+    "is_match", "jaro_breakdown", "jaro_similarity",
+    "jaro_winkler_similarity", "levenshtein_distance",
     "levenshtein_similarity", "matched_pairs", "merge_partitions",
     "pair_score", "prepare_alias", "prepare_aliases", "preprocess",
     "read_aliases", "read_partition", "score_pair", "scored_pairs",

@@ -15,7 +15,7 @@ from .clustering import disambiguate  # noqa: F401
 from .errors import UniverseMismatchError
 from .normalize import Alias
 from .rules import MatcherConfig
-from .similarity import Measure, levenshtein_similarity
+from .similarity import LevenshteinRows, Measure
 
 
 @dataclass(frozen=True)
@@ -217,8 +217,20 @@ def triage(aliases: list[Alias], differ_cutoff: float = 0.5) -> TriageResult:
     or through a chain of such links) are auto-matches. Of the remaining
     pairs, those whose name similarity AND email similarity are both below
     ``differ_cutoff`` are auto-differs; everything else is left undecided
-    for a human.
+    for a human. Similarities are ``levenshtein_similarity`` values from
+    exact edit distances, so every pair is decided exactly as by comparing
+    the two aliases alone.
+
+    Every pair is written ``(id_a, id_b)`` with ``id_a < id_b``, and each
+    list is in ascending order. Raises :class:`DuplicateAliasIdError` when
+    two aliases share an id.
+
+    The aliases are taken in id order, and each alias's distances to all
+    later ones come from one pass of the packed kernel per field
+    (:class:`LevenshteinRows`), so the pairs come out already sorted.
     """
+    _alias_ids(aliases)
+    aliases = sorted(aliases, key=lambda a: a.id)
     n = len(aliases)
     dsu = _DisjointSet(n)
     by_name: dict[str, int] = {}
@@ -235,21 +247,33 @@ def triage(aliases: list[Alias], differ_cutoff: float = 0.5) -> TriageResult:
             else:
                 by_email[alias.email] = k
 
+    roots = [dsu.find(k) for k in range(n)]
+    ids = [a.id for a in aliases]
+    names = [a.name for a in aliases]
+    emails = [a.email for a in aliases]
+    name_rows = LevenshteinRows(names)
+    email_rows = LevenshteinRows(emails)
     auto_match = []
     auto_differ = []
     undecided = []
     for i in range(n):
-        a = aliases[i]
-        for j in range(i + 1, n):
-            b = aliases[j]
-            pair = (a.id, b.id) if a.id <= b.id else (b.id, a.id)
-            if dsu.find(i) == dsu.find(j):
+        id_a, root = ids[i], roots[i]
+        name, email = names[i], emails[i]
+        name_len, email_len = len(name), len(email)
+        for j, name_d, email_d in zip(range(i + 1, n),
+                                      name_rows.distances(name, i + 1),
+                                      email_rows.distances(email, i + 1)):
+            pair = (id_a, ids[j])
+            if roots[j] == root:
                 auto_match.append(pair)
-            elif (levenshtein_similarity(a.name, b.name) < differ_cutoff
-                    and levenshtein_similarity(a.email, b.email) < differ_cutoff):
-                auto_differ.append(pair)
-            else:
-                undecided.append(pair)
-    return TriageResult(tuple(sorted(auto_match)),
-                        tuple(sorted(auto_differ)),
-                        tuple(sorted(undecided)))
+                continue
+            # levenshtein_similarity, from the distance already at hand
+            longer = max(name_len, len(names[j]))
+            if (1.0 - name_d / longer if longer else 1.0) < differ_cutoff:
+                longer = max(email_len, len(emails[j]))
+                if (1.0 - email_d / longer if longer else 1.0) < differ_cutoff:
+                    auto_differ.append(pair)
+                    continue
+            undecided.append(pair)
+    return TriageResult(tuple(auto_match), tuple(auto_differ),
+                        tuple(undecided))

@@ -11,6 +11,8 @@ import unicodedata
 from dataclasses import dataclass
 from typing import Iterable
 
+from .errors import StopWordFileError, _undecodable_line
+
 
 @dataclass(frozen=True)
 class RawAlias:
@@ -62,13 +64,21 @@ class StopWordConfig:
     @classmethod
     def from_file(cls, path) -> "StopWordConfig":
         """Load a stop-word list: one token per line, '#' starts a comment,
-        blank lines are ignored. Tokens are lowercased."""
+        blank lines are ignored. Tokens are lowercased.
+
+        Raises :class:`StopWordFileError` (with the offending line number)
+        on bytes that are not UTF-8.
+        """
         words = set()
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                token = line.split("#", 1)[0].strip().lower()
-                if token:
-                    words.add(token)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for line in fh:
+                    token = line.split("#", 1)[0].strip().lower()
+                    if token:
+                        words.add(token)
+        except UnicodeDecodeError:
+            raise StopWordFileError(
+                f"{path}:{_undecodable_line(path)}: not valid UTF-8") from None
         return cls(frozenset(words))
 
 

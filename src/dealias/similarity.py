@@ -9,7 +9,52 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
+
+
+def _add_lane(peq: dict[str, int], s: str, offset: int) -> None:
+    """Set bit ``offset + k`` of ``peq[c]`` wherever ``s[k] == c``."""
+    bit = 1 << offset
+    for c in s:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+
+
+def _myers_columns(peq: dict[str, int], mask: int, low: int,
+                   text: str) -> tuple[int, int]:
+    """Advance the edit-distance table of the patterns in ``peq`` over
+    ``text``, one column per character; return the last column's +1 and
+    -1 vertical-delta bit vectors ``(vp, vn)``.
+
+    Bit-parallel dynamic program (Myers, JACM 1999, in Hyyrö's 2001
+    formulation for edit distance): a column of the DP table over a pattern
+    is held as the bit vectors of its +1 and -1 vertical deltas, and each
+    character of the text advances the whole column with a few operations
+    on integers as wide as the pattern. ``peq[c]`` has bit k set where the
+    pattern's character k is ``c``, and ``mask`` covers the pattern's bits.
+
+    Several patterns can share the integers as lanes (Hyyrö, Fredriksson &
+    Navarro, JEA 2005). ``low`` has the lowest bit of each lane set, and
+    every lane must have a bit clear in ``mask`` just above it. That
+    separator takes the carry out of the lane in ``(eq & vp) + vp`` and the
+    lane's top bit when ``hp`` and ``hn`` shift, and the mask clears it
+    before it can reach the next lane. A lane's edit distance to ``text``
+    is ``len(text) + popcount(vp) - popcount(vn)`` over the lane's bits, as
+    the table's top row grows by one per column.
+    """
+    vp, vn = mask, 0
+    for c in text:
+        eq = peq.get(c, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | (mask & ~(xh | vp))
+        hn = vp & xh
+        # the top row grows by one per column: shift a +1 into every lane
+        hp = (hp << 1) | low
+        hn <<= 1
+        vp = mask & (hn | ~(xv | hp))
+        vn = hp & xv
+    return vp, vn
 
 
 @lru_cache(maxsize=1 << 18)
@@ -17,11 +62,8 @@ def levenshtein_distance(s1: str, s2: str) -> int:
     """Minimum number of single-character insertions, deletions and
     substitutions that turn ``s1`` into ``s2``.
 
-    Bit-parallel dynamic program (Myers, JACM 1999, in Hyyrö's 2001
-    formulation for edit distance): one column of the DP table over the
-    shorter string is held as two bit vectors of +1 and -1 vertical deltas,
-    and each character of the longer string advances the whole column with
-    a few operations on integers as wide as the shorter string.
+    One lane of the bit-parallel column loop, with the shorter string as
+    the pattern.
     """
     if s1 == s2:
         return 0
@@ -29,31 +71,57 @@ def levenshtein_distance(s1: str, s2: str) -> int:
         s1, s2 = s2, s1
     if not s2:
         return len(s1)
-    # peq[c]: bit k set where s2[k] == c
     peq: dict[str, int] = {}
-    bit = 1
-    for c in s2:
-        peq[c] = peq.get(c, 0) | bit
-        bit <<= 1
-    mask = bit - 1
-    last = bit >> 1
-    vp, vn, dist = mask, 0, len(s2)
-    for c in s1:
-        eq = peq.get(c, 0)
-        xv = eq | vn
-        xh = (((eq & vp) + vp) ^ vp) | eq
-        hp = vn | (mask & ~(xh | vp))
-        hn = vp & xh
-        if hp & last:
-            dist += 1
-        elif hn & last:
-            dist -= 1
-        # the top row of the table grows by one per column: shift in a +1
-        hp = (hp << 1) | 1
-        hn <<= 1
-        vp = mask & (hn | ~(xv | hp))
-        vn = hp & xv
-    return dist
+    _add_lane(peq, s2, 0)
+    vp, vn = _myers_columns(peq, (1 << len(s2)) - 1, 1, s1)
+    return len(s1) + vp.bit_count() - vn.bit_count()
+
+
+class LevenshteinRows:
+    """Exact edit distances from one text to many strings at once.
+
+    The strings are packed as lanes of the same integers and advanced
+    together by one pass of the bit-parallel column loop over the text.
+    String k takes ``len(strings[k])`` bits plus one clear separator bit
+    above them; an empty string is a lane of no bits. The last string sits
+    in the lowest bits, so the strings from any ``start`` on fill the low
+    bits, and a row from ``start`` runs on integers only as wide as they.
+    """
+
+    def __init__(self, strings: Sequence[str]):
+        n = len(strings)
+        peq: dict[str, int] = {}
+        mask = low = offset = 0
+        spans = [(0, 0)] * n
+        ends = [0] * (n + 1)   # ends[k]: bits taken by strings[k:]
+        for k in range(n - 1, -1, -1):
+            s = strings[k]
+            spans[k] = (offset, offset + len(s))
+            if s:
+                _add_lane(peq, s, offset)
+                mask |= ((1 << len(s)) - 1) << offset
+                low |= 1 << offset
+                offset += len(s) + 1
+            ends[k] = offset
+        self._peq, self._mask, self._low = peq, mask, low
+        self._spans, self._ends = spans, ends
+
+    def distances(self, text: str, start: int = 0) -> list[int]:
+        """``[levenshtein_distance(text, s) for s in strings[start:]]``."""
+        if not 0 <= start < len(self._ends):
+            raise IndexError(f"start {start} outside [0, {len(self._spans)}]")
+        # cut the lanes before start off the tables: narrower integers
+        window = (1 << self._ends[start]) - 1
+        peq = {c: self._peq[c] & window for c in set(text) if c in self._peq}
+        vp, vn = _myers_columns(peq, self._mask & window,
+                                self._low & window, text)
+        # lane (a, b) holds bits a..b-1, which are characters a..b-1 of the
+        # binary strings written lowest bit first
+        plus = format(vp, "b")[::-1].count
+        minus = format(vn, "b")[::-1].count
+        m = len(text)
+        return [m + plus("1", a, b) - minus("1", a, b)
+                for a, b in self._spans[start:]]
 
 
 def levenshtein_similarity(s1: str, s2: str) -> float:

@@ -7,30 +7,13 @@ import logging
 from typing import IO, Iterable
 
 from .clustering import Partition
-from .errors import AliasFileError, PartitionFileError
+from .errors import AliasFileError, PartitionFileError, _undecodable_line
 from .normalize import RawAlias
 
 log = logging.getLogger(__name__)
 
 ALIAS_HEADER = ["id", "name", "email"]
 PARTITION_HEADER = ["alias_id", "author_id"]
-
-
-def _undecodable_line(path) -> int:
-    """Number of the first line of ``path`` that is not valid UTF-8.
-
-    Lines are decoded one at a time: no byte of a multi-byte UTF-8
-    sequence is a line break, so a line decodes on its own exactly when it
-    decodes inside the whole file.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    for line_no, line in enumerate(data.splitlines(), start=1):
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError:
-            return line_no
-    return 1  # not reached for a file the text reader rejected
 
 
 def read_aliases(path) -> list[RawAlias]:

@@ -2,8 +2,8 @@
 
 Deliberately written with different algorithms than the production code:
 full-matrix edit distance, explicit pair enumeration for evaluation,
-all-pairs reachability for the transitive closure, and a plain double
-loop over the reference pair decisions for the match scan.
+all-pairs reachability for the transitive closure, and plain double
+loops over the reference pair decisions for the match scan and triage.
 """
 
 from __future__ import annotations
@@ -29,6 +29,15 @@ def lev_distance_matrix(s1: str, s2: str) -> int:
                               table[i][j - 1] + 1,
                               table[i - 1][j - 1] + cost)
     return table[m][n]
+
+
+def lev_similarity_matrix(s1: str, s2: str) -> float:
+    """1 - d / max(len(s1), len(s2)) from the full table; 1.0 for two
+    empty strings."""
+    longer = max(len(s1), len(s2))
+    if longer == 0:
+        return 1.0
+    return 1.0 - lev_distance_matrix(s1, s2) / longer
 
 
 def brute_force_counts(predicted: dict[str, str],
@@ -88,3 +97,28 @@ def all_pairs_matches(aliases, method, cfg) -> list[tuple[int, int]]:
     ``method`` matches, found by deciding all n(n-1)/2 pairs."""
     return [(i, j) for i, j in combinations(range(len(aliases)), 2)
             if reference_match(aliases[i], aliases[j], method, cfg)]
+
+
+def triage_reference(aliases, differ_cutoff):
+    """(auto_match, auto_differ, undecided) as sorted lists of id pairs:
+    every pair decided on its own, with full-matrix edit distances, and
+    auto-matches found by reachability over identical non-empty names and
+    emails."""
+    n = len(aliases)
+    links = [(i, j) for i, j in combinations(range(n), 2)
+             if (aliases[i].name and aliases[i].name == aliases[j].name)
+             or (aliases[i].email and aliases[i].email == aliases[j].email)]
+    component = closure_components(n, links)
+
+    match, differ, undecided = [], [], []
+    for i, j in combinations(range(n), 2):
+        a, b = aliases[i], aliases[j]
+        pair = tuple(sorted((a.id, b.id)))
+        if component[i] == component[j]:
+            match.append(pair)
+        elif (lev_similarity_matrix(a.name, b.name) < differ_cutoff
+                and lev_similarity_matrix(a.email, b.email) < differ_cutoff):
+            differ.append(pair)
+        else:
+            undecided.append(pair)
+    return sorted(match), sorted(differ), sorted(undecided)

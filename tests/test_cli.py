@@ -1,9 +1,11 @@
+import csv
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from dealias import prepare_aliases, read_aliases, triage
 from dealias.cli import main, parse_thresholds
 
 DATA = Path(__file__).parent / "data"
@@ -131,6 +133,14 @@ def test_input_not_utf8_exits_2(tmp_path, capsys):
     assert f"{truth}:2: not valid UTF-8" in capsys.readouterr().err
 
 
+def test_stop_words_not_utf8_exits_2(tmp_path, capsys):
+    stop = tmp_path / "stop.txt"
+    stop.write_bytes(b"doe\nJos\xe9\n")
+    assert run_cli("disambiguate", FIXTURE_ALIASES,
+                   "--stop-words", str(stop)) == 2
+    assert f"{stop}:2: not valid UTF-8" in capsys.readouterr().err
+
+
 def test_triage_writes_three_files(tmp_path, capsys):
     prefix = tmp_path / "t"
     assert run_cli("triage", FIXTURE_ALIASES, "--out-prefix", str(prefix)) == 0
@@ -140,11 +150,18 @@ def test_triage_writes_three_files(tmp_path, capsys):
         key, _, value = line.partition(" = ")
         counts[key] = int(value)
     assert counts["total_pairs"] == 32 * 31 // 2
-    for suffix in ("match", "differ", "undecided"):
+    result = triage(prepare_aliases(read_aliases(FIXTURE_ALIASES)))
+    for suffix, pairs in (("match", result.auto_match),
+                          ("differ", result.auto_differ),
+                          ("undecided", result.undecided)):
         lines = (tmp_path / f"t_{suffix}.csv").read_text().splitlines()
         assert lines[0] == "id_a,id_b"
         assert len(lines) == 1 + counts[f"auto_{suffix}"
                                         if suffix != "undecided" else suffix]
+        rows = [tuple(row) for row in csv.reader(lines[1:])]
+        assert all(a < b for a, b in rows)
+        assert all(r < s for r, s in zip(rows, rows[1:]))
+        assert rows == list(pairs)
 
 
 def test_extract_subcommand(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import io
 import random
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -7,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from dealias import clustering
 from dealias.clustering import METHODS, Partition, disambiguate
-from dealias.errors import UniverseMismatchError
+from dealias.errors import DuplicateAliasIdError, UniverseMismatchError
 from dealias.evaluation import (EvalReport, SWEEP_HEADER, cohen_kappa,
                                 evaluate, sweep, triage, write_sweep_csv)
 from dealias.rules import MatcherConfig
 from dealias.similarity import Measure
-from oracles import brute_force_counts
+from oracles import (brute_force_counts, lev_similarity_matrix,
+                     triage_reference)
 from synth import alias_lists, make_alias, random_corpus
 
 
@@ -145,6 +147,42 @@ def test_triage_empty_fields_do_not_auto_match():
     # both-empty pairs are identical but carry no evidence; they fall to
     # the undecided bucket (similarity of equal strings is 1.0)
     assert ("a", "b") in result.undecided
+
+
+def test_triage_rejects_duplicate_ids():
+    a = make_alias("x", "john doe", "jdoe@work com")
+    b = make_alias("x", "jane roe", "jroe@home org")
+    with pytest.raises(DuplicateAliasIdError):
+        triage([a, b])
+
+
+def _exact_similarities(aliases):
+    """Every similarity a pair of the aliases has, on names and emails."""
+    values = set()
+    for i, a in enumerate(aliases):
+        for b in aliases[i + 1:]:
+            values.add(lev_similarity_matrix(a.name, b.name))
+            values.add(lev_similarity_matrix(a.email, b.email))
+    return sorted(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(alias_lists(min_size=0, max_size=12), st.data())
+def test_triage_equals_reference(aliases, data):
+    # ids in no particular order, so the output order comes from sorting
+    ids = data.draw(st.lists(st.text(alphabet="aB9\u00e9_", min_size=1,
+                                     max_size=3),
+                             min_size=len(aliases), max_size=len(aliases),
+                             unique=True))
+    aliases = [replace(a, id=i) for a, i in zip(aliases, ids)]
+    cutoff = data.draw(st.one_of(
+        st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from(_exact_similarities(aliases) or [0.5])))
+    result = triage(aliases, differ_cutoff=cutoff)
+    match, differ, undecided = triage_reference(aliases, cutoff)
+    assert list(result.auto_match) == match
+    assert list(result.auto_differ) == differ
+    assert list(result.undecided) == undecided
 
 
 def test_sweep_rows_and_csv():

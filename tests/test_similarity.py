@@ -1,11 +1,12 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from dealias.similarity import (JaroBreakdown, Measure, jaro_breakdown,
-                                jaro_similarity, jaro_winkler_similarity,
-                                levenshtein_distance, levenshtein_similarity)
+from dealias.similarity import (JaroBreakdown, LevenshteinRows, Measure,
+                                jaro_breakdown, jaro_similarity,
+                                jaro_winkler_similarity, levenshtein_distance,
+                                levenshtein_similarity)
 from oracles import lev_distance_matrix
 
 words = st.text(alphabet="abcdefg @", max_size=16)
@@ -54,6 +55,22 @@ def test_levenshtein_symmetric_and_bounded(s1, s2):
 def test_levenshtein_triangle_inequality(s1, s2, s3):
     assert (levenshtein_distance(s1, s3)
             <= levenshtein_distance(s1, s2) + levenshtein_distance(s2, s3))
+
+
+# lanes of every shape: empty, non-ASCII, and on both sides of 64 characters
+lane_strings = st.one_of(st.text(alphabet="ab é@", max_size=10),
+                         st.text(alphabet="ab é@", min_size=55, max_size=80))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(lane_strings, max_size=7), lane_strings)
+def test_levenshtein_rows_equal_matrix_oracle_from_every_start(strings, text):
+    rows = LevenshteinRows(strings)
+    want = [lev_distance_matrix(text, s) for s in strings]
+    for start in range(len(strings) + 1):
+        assert rows.distances(text, start) == want[start:]
+    with pytest.raises(IndexError):
+        rows.distances(text, len(strings) + 1)
 
 
 def test_jaro_canonical_transposition_pair():
