@@ -1,47 +1,62 @@
 """Exact candidate generation for the pure-Python pair scan.
 
-Only a small share of alias pairs can match, and the rules say which ones:
-a pair can match only if some rule scores at least a cutoff ``tau``. The
-index below finds every such pair without looking at all of them; the
-scan then runs the unchanged reference decision on these candidates only,
-so the matched pairs are exactly those of the all-pairs scan.
+Only a small share of alias pairs can match, and the rules say which ones.
+The index below finds every pair that can match without looking at all of
+them; the scan then runs the unchanged reference decision on these
+candidates only, so the matched pairs are exactly those of the all-pairs
+scan.
 
-Why the candidates are a superset of the matches:
+Each join of the index stands for one rule: every pair whose score under
+that rule reaches a cutoff ``tau`` is found by the join. The index records,
+for every pair, which rules' joins found it, and keeps the pair when those
+rules could decide a match:
 
 * gambit at threshold t: a weight-2 rule (identical email, rule 8; both
   names inside the other email base, rule 7) decides a pair on its own.
   Without one, every score is at most 1, so a top-two average >= t needs
-  both top scores >= tau = 2t - 1.
+  two distinct rules, each scoring at least tau = 2t - 1. A pair is kept
+  when the join of a weight-2 rule found it, or the joins of two distinct
+  rules did.
 * bird at threshold t: a pair matches when a single condition holds, and
-  every graded condition compares a similarity against tau = t.
+  every graded condition compares a similarity against tau = t. One hit
+  keeps a pair.
 * simple: identical cleaned names or identical email bases; it has no
-  threshold.
+  threshold. One hit keeps a pair.
 
 A graded score >= tau > 0 implies that both compared strings pass the
-``min_len`` gate and have Levenshtein similarity >= tau. The candidates
-are therefore the union of
+``min_len`` gate and have Levenshtein similarity >= tau. The joins, and the
+gambit rules they stand for, are
 
-* hash joins on the email (gambit rule 8) or on the name and email base
-  (simple);
-* containment pairs: every alias whose first-initial+last-name,
-  first-name+last-initial, or first-and-last-name needles occur in another
-  alias's email base, found through an index of the bases' ``min_len``-grams
-  and confirmed with ``in`` (gambit rules 5-7, bird's containment
-  conditions);
-* a Levenshtein join at tau on full names (gambit rule 0, and rule 1,
-  since identical names meet at distance 0; bird),
-  on email bases (gambit rule 9, bird), on first names (gambit rule 2,
-  bird) and between first and last names (gambit rules 3 and 4).
+* hash joins on the email (rule 8) and on the name (rules 1 and 0 at once:
+  identical names are similar names too, which is two rules); simple joins
+  the names and the email bases;
+* containment pairs: every alias whose first-initial+last-name (rule 5),
+  first-name+last-initial (rule 6) or first-and-last-name (rule 7) needles
+  occur in another alias's email base, found through an index of the
+  bases' ``min_len``-grams and confirmed with ``in``; bird's containment
+  conditions are the same three;
+* a Levenshtein join at tau on full names (rule 0; bird), on email bases
+  (rule 9; bird), on first names (rule 2, whose first-name leg must reach
+  tau; bird) and between first and last names (rules 3 and 4).
+
+Rules 3 and 4 are one comparison seen from the two ends of a pair (i, j)
+with i < j: rule 3 compares i's first name with j's last name, rule 4 i's
+last name with j's first name. A join hit of ``first_i ~ last_j`` therefore
+marks rule 3 of the pair (i, j) when i < j, and rule 4 of the pair (j, i)
+when i > j.
 
 The join uses deletion neighbourhoods (Bocek et al., "Fast Similarity
 Search in Large Dictionaries", 2007): if two strings are within edit
 distance d, deleting at most d characters from each yields a common
 string. Similarity 1 - d / max(len) >= tau bounds d by
 (1 - tau) * len(s) / tau for either string s, so each string indexes the
-neighbourhood of that budget. A string whose neighbourhood would be too
-large is compared directly against every other string whose length is
-within the ratio tau of its own. Join hits are confirmed with the same
-similarity function the rules use.
+neighbourhood of that budget. The keys are taken shortest first: each
+probes the index of the keys before it and then adds its own neighbourhood,
+so every pair of keys is confirmed once and no key's neighbourhood is held
+after its turn. A string whose neighbourhood would be too large is
+compared directly against every earlier string whose length is within the
+ratio tau of its own. Join hits are confirmed with the same similarity
+function the rules use.
 
 All cutoffs are lowered by a small slack so that float rounding in the
 rules' arithmetic can only add candidates, never drop a match.
@@ -54,7 +69,7 @@ tau <= 0 every pair can match); for Jaro-Winkler no filter here is proven.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import defaultdict
 from math import comb, floor
 from typing import Iterable, Iterator, Sequence
@@ -68,6 +83,11 @@ _FLOAT_SLACK = 1e-9
 # strings with more deletion variants than this are compared directly
 _MAX_NEIGHBOURHOOD = 2000
 
+# bit k of a pair's mask: the join of gambit rule k found the pair
+_RULE = tuple(1 << k for k in range(10))
+# either weight-2 rule decides a gambit pair on its own
+_WEIGHT_TWO = _RULE[7] | _RULE[8]
+
 
 def candidate_partners(aliases: list[Alias], method: str,
                        cfg: MatcherConfig) -> list[list[int]] | None:
@@ -78,50 +98,71 @@ def candidate_partners(aliases: list[Alias], method: str,
     m = cfg.min_len
     found = _PairSet(len(aliases))
     if method == "simple":
-        _join_equal(found, _owners([a.name for a in aliases], m))
-        _join_equal(found, _owners([a.email_base for a in aliases], m))
-        return found.partners()
+        _join_equal(found, _owners([a.name for a in aliases], m), _RULE[1])
+        _join_equal(found, _owners([a.email_base for a in aliases], m),
+                    _RULE[9])
+        return found.partners(two_hits=False)
 
-    tau = (2.0 * cfg.threshold - 1.0 if method == "gambit"
+    gambit = method == "gambit"
+    tau = (2.0 * cfg.threshold - 1.0 if gambit
            else cfg.threshold) - _FLOAT_SLACK
     if tau <= 0.5 or cfg.measure is not Measure.LEVENSHTEIN:
         return None
-    if method == "gambit":
-        _join_equal(found, _owners([a.email for a in aliases], m))
-    _join_containment(found, aliases, m)
-    for field in ("name", "email_base"):
-        owners = _owners([getattr(a, field) for a in aliases], m)
+    names = _owners([a.name for a in aliases], m)
+    bases = _owners([a.email_base for a in aliases], m)
+    if gambit:
+        _join_equal(found, _owners([a.email for a in aliases], m), _RULE[8])
+        _join_equal(found, names, _RULE[0] | _RULE[1])
+    _join_containment(found, aliases, bases, m)
+    for owners, rule in ((names, _RULE[0]), (bases, _RULE[9])):
         for s, u in _similar_keys(owners, tau):
-            found.add_all(owners[s], owners[u])
+            found.add_all(owners[s], owners[u], rule)
     # rule 2 and bird compare first names; rules 3 and 4 compare one
     # alias's first name with the other's last name
     firsts = _owners([a.first_name for a in aliases], m)
-    lasts = (_owners([a.last_name for a in aliases], m)
-             if method == "gambit" else {})
+    lasts = _owners([a.last_name for a in aliases], m) if gambit else {}
     for s, u in _similar_keys(firsts.keys() | lasts.keys(), tau):
-        found.add_all(firsts.get(s, ()), firsts.get(u, ()))
-        found.add_all(firsts.get(s, ()), lasts.get(u, ()))
-        found.add_all(lasts.get(s, ()), firsts.get(u, ()))
-    return found.partners()
+        found.add_all(firsts.get(s, ()), firsts.get(u, ()), _RULE[2])
+        found.add_all(firsts.get(s, ()), lasts.get(u, ()),
+                      _RULE[3], _RULE[4])
+        if s != u:
+            found.add_all(firsts.get(u, ()), lasts.get(s, ()),
+                          _RULE[3], _RULE[4])
+    return found.partners(two_hits=gambit)
 
 
 class _PairSet:
-    """Unordered index pairs, kept as the partners of the smaller index."""
+    """Unordered index pairs, kept as the partners of the smaller index,
+    each with the mask of the rules whose joins found it."""
 
     def __init__(self, n: int):
-        self._later = [set() for _ in range(n)]
+        self._later: list[dict[int, int]] = [{} for _ in range(n)]
 
-    def add_all(self, left: Sequence[int], right: Sequence[int]) -> None:
+    def add_all(self, left: Sequence[int], right: Sequence[int], rule: int,
+                swapped: int | None = None) -> None:
+        """Mark every pair of ``left`` x ``right`` with ``rule``, or with
+        ``swapped`` where the index from ``left`` is the larger one."""
+        if swapped is None:
+            swapped = rule
         later = self._later
         for i in left:
+            row_i = later[i]
             for j in right:
                 if i < j:
-                    later[i].add(j)
+                    row_i[j] = row_i.get(j, 0) | rule
                 elif j < i:
-                    later[j].add(i)
+                    row_j = later[j]
+                    row_j[i] = row_j.get(i, 0) | swapped
 
-    def partners(self) -> list[list[int]]:
-        return [sorted(js) for js in self._later]
+    def partners(self, two_hits: bool) -> list[list[int]]:
+        """Every row's sorted partners: all found pairs, or with
+        ``two_hits`` those with a weight-2 rule or two distinct rules."""
+        if not two_hits:
+            return [sorted(row) for row in self._later]
+        # mask & (mask - 1) clears the lowest bit: nonzero for two or more
+        return [sorted(j for j, mask in row.items()
+                       if mask & _WEIGHT_TWO or mask & (mask - 1))
+                for row in self._later]
 
 
 def _owners(keys: list[str], min_len: int) -> dict[str, list[int]]:
@@ -133,14 +174,14 @@ def _owners(keys: list[str], min_len: int) -> dict[str, list[int]]:
     return owners
 
 
-def _join_equal(found: _PairSet, owners: dict[str, list[int]]) -> None:
+def _join_equal(found: _PairSet, owners: dict[str, list[int]],
+                rule: int) -> None:
     for members in owners.values():
-        found.add_all(members, members)
+        found.add_all(members, members, rule)
 
 
 def _join_containment(found: _PairSet, aliases: list[Alias],
-                      min_len: int) -> None:
-    bases = _owners([a.email_base for a in aliases], min_len)
+                      bases: dict[str, list[int]], min_len: int) -> None:
     grams: dict[str, set[str]] = defaultdict(set)
     for base in bases:
         for k in range(len(base) - min_len + 1):
@@ -149,12 +190,13 @@ def _join_containment(found: _PairSet, aliases: list[Alias],
     for i, a in enumerate(aliases):
         if not a.first_name:
             continue
-        # each tuple lists strings that must all occur in the other base
-        needles = [(a.first_name[0] + a.last_name,),
-                   (a.first_name + a.last_name[0],)]
+        # each needle lists the strings that must all occur in the other
+        # base, and the rule it stands for
+        needles = [((a.first_name[0] + a.last_name,), _RULE[5]),
+                   ((a.first_name + a.last_name[0],), _RULE[6])]
         if len(a.first_name) >= min_len and len(a.last_name) >= min_len:
-            needles.append((a.first_name, a.last_name))
-        for parts in needles:
+            needles.append(((a.first_name, a.last_name), _RULE[7]))
+        for parts, rule in needles:
             head = parts[0]
             if len(head) < min_len:
                 continue
@@ -162,32 +204,39 @@ def _join_containment(found: _PairSet, aliases: list[Alias],
                          for k in range(len(head) - min_len + 1)), key=len)
             for base in hosts:
                 if all(part in base for part in parts):
-                    found.add_all([i], bases[base])
+                    found.add_all((i,), bases[base], rule)
 
 
 def _similar_keys(keys: Iterable[str],
                   tau: float) -> Iterator[tuple[str, str]]:
-    """Yield every unordered pair of ``keys`` (a key with itself included)
-    whose Levenshtein similarity is at least tau, each once or twice."""
-    hoods = {s: _neighbourhood(s, tau) for s in keys}
-    index: dict[str, list[str]] = defaultdict(list)
-    for s, hood in hoods.items():
-        for variant in hood or ():
-            index[variant].append(s)
-    # similarity >= tau needs len(shorter) >= tau * len(longer)
-    by_len = sorted(hoods, key=len)
-    lens = [len(s) for s in by_len]
-    for s, hood in hoods.items():
+    """Yield ``(s, s)`` for every key, and ``(s, u)`` once for every other
+    unordered pair of ``keys`` whose Levenshtein similarity is at least
+    tau.
+
+    Shortest first, each key probes the deletion-neighbourhood index of the
+    keys before it, then adds its own variants. A neighbourhood only grows
+    with the key's length, so once a key is too wide to index, every later
+    key is too: the wide keys are compared directly with every earlier key
+    of a possible length, and no indexed key ever has to look for them.
+    """
+    index: dict[str, list[str]] = {}
+    done: list[str] = []       # the keys so far, shortest first
+    lens: list[int] = []
+    for s in sorted(keys, key=len):
+        yield s, s
+        hood = _neighbourhood(s, tau)
         if hood is None:
-            # too wide to index: compare directly with every key of a
-            # possible length; two indexed keys meet in the index instead
-            near = by_len[bisect_left(lens, tau * len(s)):
-                          bisect_right(lens, len(s) / tau)]
+            # similarity >= tau needs len(shorter) >= tau * len(longer)
+            near = done[bisect_left(lens, tau * len(s)):]
         else:
-            near = {u for variant in hood for u in index[variant]}
+            near = {u for variant in hood for u in index.get(variant, ())}
+            for variant in hood:
+                index.setdefault(variant, []).append(s)
         for u in near:
             if levenshtein_similarity(s, u) >= tau:
                 yield s, u
+        done.append(s)
+        lens.append(len(s))
 
 
 def _neighbourhood(s: str, tau: float) -> set[str] | None:

@@ -177,7 +177,8 @@ def cmd_extract(args) -> int:
     if args.log == "-":
         records = extract_from_log(sys.stdin)
     else:
-        with open(args.log, encoding="utf-8", errors="replace") as fh:
+        # utf-8-sig: a byte-order mark is not part of the first name
+        with open(args.log, encoding="utf-8-sig", errors="replace") as fh:
             records = extract_from_log(fh)
     if args.output:
         write_aliases(records, args.output)

@@ -1,11 +1,15 @@
 import csv
+import io
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dealias import prepare_aliases, read_aliases, triage
+from dealias import RawAlias, prepare_aliases, read_aliases, triage
 from dealias.cli import main, parse_thresholds
 
 DATA = Path(__file__).parent / "data"
@@ -217,3 +221,78 @@ def test_cli_import_leaves_numpy_out():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# names and emails as people write them: empty, accented, non-Latin, with
+# CSV quoting characters; never a line break or a tab, which end a log line
+# and its name field, and never a surrogate, which UTF-8 cannot encode
+_FIELDS = st.one_of(
+    st.sampled_from(["", "José Ñúñez", "jose.nunez@example.org", "李雷",
+                     "Дмитрий", '"Doe, John"', "Jörg Mü"]),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")),
+            max_size=12))
+_ROWS = st.lists(st.tuples(_FIELDS, _FIELDS), min_size=1, max_size=12)
+
+
+def _run_quietly(*argv) -> tuple[int, str, str]:
+    with redirect_stdout(io.StringIO()) as out, \
+            redirect_stderr(io.StringIO()) as err:
+        code = run_cli(*argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _encode(text: str, bom: bool, crlf: bool) -> bytes:
+    if crlf:
+        text = text.replace("\n", "\r\n")
+    return (("\ufeff" if bom else "") + text).encode("utf-8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ROWS, st.booleans(), st.booleans())
+def test_extract_disambiguate_evaluate_round_trip(rows, bom, crlf):
+    distinct = list(dict.fromkeys(rows))
+    ids = [f"a{k:04d}" for k in range(1, len(distinct) + 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        log, aliases = Path(tmp, "log.txt"), Path(tmp, "aliases.csv")
+        log.write_bytes(_encode("".join(f"{name}\t{email}\n"
+                                        for name, email in rows), bom, crlf))
+        assert _run_quietly("extract", str(log), "-o", str(aliases))[0] == 0
+        assert read_aliases(aliases) == [RawAlias(i, name, email) for i, (
+            name, email) in zip(ids, distinct)]
+        # the alias file again, with a byte-order mark and CRLF line ends
+        marked = Path(tmp, "marked.csv")
+        marked.write_bytes(_encode(aliases.read_text(encoding="utf-8"),
+                                   bom=True, crlf=True))
+        partitions = []
+        for source in (aliases, marked):
+            part = Path(tmp, source.stem + "_part.csv")
+            assert _run_quietly("disambiguate", str(source),
+                                "-o", str(part))[0] == 0
+            partitions.append(part.read_bytes())
+        assert partitions[0] == partitions[1]
+        with open(part, newline="", encoding="utf-8") as fh:
+            assigned = [row[0] for row in list(csv.reader(fh))[1:]]
+        assert assigned == ids  # every id exactly once, in order
+        code, out, _ = _run_quietly("evaluate", str(part), str(part))
+    assert code == 0
+    assert "fp = 0\nfn = 0\n" in out
+
+
+@settings(max_examples=30, deadline=None)
+@given(_ROWS.filter(lambda rows: len(rows) >= 2), st.booleans(),
+       st.booleans(), st.data())
+def test_duplicate_alias_id_exits_2_naming_its_line(rows, bom, crlf, data):
+    ids = [f"x{k}" for k in range(len(rows))]
+    later = data.draw(st.integers(1, len(rows) - 1))
+    ids[later] = ids[data.draw(st.integers(0, later - 1))]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["id", "name", "email"])
+    writer.writerows((i, name, email) for i, (name, email) in zip(ids, rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        aliases = Path(tmp, "aliases.csv")
+        aliases.write_bytes(_encode(text.getvalue(), bom, crlf))
+        code, _, err = _run_quietly("disambiguate", str(aliases))
+    assert code == 2
+    # line 1 is the header
+    assert f"{aliases}:{later + 2}: duplicate alias id {ids[later]!r}" in err

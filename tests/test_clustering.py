@@ -147,6 +147,23 @@ def test_engines_equivalent_on_random_corpus(monkeypatch):
 # a name too long to index against a shorter similar one
 @example([make_alias("a", "abcd" * 7, ""),
           make_alias("b", "abcd" * 6 + "ab", "")], 0.9, "bird", 3)
+# gambit matches resting on exactly two rules below weight 2, each found
+# by its own join: a's needles "acdd" and "abc" in b's base (rules 5, 6)
+@example([make_alias("a", "ab cdd", ""), make_alias("b", "", "acddabc@x")],
+         0.95, "gambit", 3)
+# identical first names, a's last name is b's penultimate, identical email
+# bases under different domains (rules 2, 9)
+@example([make_alias("a", "abcd ccc dddd", "bcda@x"),
+          make_alias("b", "abcd dddd eeee", "bcda@y z")], 0.95, "gambit", 3)
+# names one letter apart, first names too far apart for rule 2, identical
+# email bases (rules 0, 9)
+@example([make_alias("a", "abcde fghijklmnopq", "qrstu@x"),
+          make_alias("b", "abcdx fghijklmnopq", "qrstu@y z")],
+         0.95, "gambit", 3)
+# identical names with a first name below the length gate and different
+# emails (rules 0, 1)
+@example([make_alias("a", "ab cdefg", "ghij@x"),
+          make_alias("b", "ab cdefg", "klmn@y z")], 0.95, "gambit", 3)
 def test_blocked_scan_equals_all_pairs_at_any_threshold(aliases, t, method,
                                                         min_len):
     cfg = MatcherConfig(threshold=t, min_len=min_len)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dealias import RawAlias, disambiguate, prepare_aliases
 from dealias.rules import (MatcherConfig, is_match, score_pair,
                            top_two_average)
 from dealias.similarity import Measure
@@ -75,6 +76,20 @@ def test_both_names_in_email_base_weighs_two():
     s = scores(a, b)
     assert s[7] == 2.0
     assert is_match(s, MatcherConfig(threshold=1.0))
+
+
+def test_one_token_name_fires_rule_7_on_one_substring():
+    # Known limitation, pinned so that changing it is a deliberate change:
+    # a one-token name is its own first and last name, so one substring hit
+    # in the other email base counts as both names (rule 7, weight 2)
+    ann, joanne = prepare_aliases([RawAlias("x1", "Ann", "ann@foo.org"),
+                                   RawAlias("x2", "Joanne Smith",
+                                            "joanne@bar.com")])
+    s = scores(ann, joanne)
+    assert s == (0.25, 0.0, 0.5, 0.0, 0.5, 0.0, 0.0, 2.0, 0.0, 0.5)
+    cfg = MatcherConfig(threshold=1.0)
+    assert is_match(s, cfg)
+    assert disambiguate([ann, joanne], cfg=cfg).author_count() == 1
 
 
 def test_identical_email_weighs_two():
