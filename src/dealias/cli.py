@@ -16,7 +16,7 @@ import sys
 import time
 import traceback
 
-from .clustering import ENGINES, METHODS, disambiguate
+from .clustering import METHODS, disambiguate
 from .errors import DealiasError
 from .evaluation import evaluate, sweep, triage, write_sweep_csv
 from .normalize import StopWordConfig, prepare_aliases
@@ -102,8 +102,7 @@ def cmd_disambiguate(args) -> int:
     cfg = _matcher_config(args)
     threads = _resolve_threads(args.threads)
     start = time.perf_counter()
-    partition = disambiguate(aliases, args.method, cfg, workers=threads,
-                             engine=args.engine)
+    partition = disambiguate(aliases, args.method, cfg, workers=threads)
     elapsed = time.perf_counter() - start
     if args.output:
         write_partition(partition, args.output)
@@ -143,8 +142,7 @@ def cmd_sweep(args) -> int:
     thresholds = parse_thresholds(args.thresholds)
     min_len = args.min_len if args.min_len is not None else DEFAULT_MIN_LEN
     rows = sweep(aliases, truth, methods, measures, thresholds,
-                 min_len=min_len, workers=_resolve_threads(args.threads),
-                 engine=args.engine)
+                 min_len=min_len, workers=_resolve_threads(args.threads))
     if args.output:
         with open(args.output, "w", newline="", encoding="utf-8") as fh:
             write_sweep_csv(rows, fh)
@@ -212,10 +210,8 @@ def _add_common_input_options(p):
 
 def _add_run_options(p):
     p.add_argument("--threads", type=int, default=None,
-                   help="worker processes for the pair scan "
-                        f"(default ${THREADS_ENV_VAR} or 1)")
-    p.add_argument("--engine", choices=ENGINES, default="auto",
-                   help="pair-scan implementation (default auto)")
+                   help="worker processes for the pair scan, at most one "
+                        f"per core (default ${THREADS_ENV_VAR} or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

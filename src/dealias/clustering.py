@@ -7,8 +7,7 @@ connected component becomes one author.
 
 from __future__ import annotations
 
-import importlib.util
-import multiprocessing
+import os
 from collections import defaultdict
 from math import inf
 from operator import itemgetter
@@ -22,10 +21,7 @@ from .normalize import Alias
 from .rules import DEFAULT_CONFIG, MatcherConfig, score_pair, top_two_average
 
 METHODS = ("gambit", "simple", "bird")
-ENGINES = ("auto", "python", "numba")
 
-# below this pair count the compiled scan is not worth dispatching to
-_NUMBA_MIN_PAIRS = 20_000
 # below this row count extra worker processes cost more than they save
 _WORKERS_MIN_ALIASES = 512
 
@@ -176,40 +172,6 @@ def _scan_rows(aliases: list[Alias], method: str, cfg: MatcherConfig,
     return found
 
 
-def _compiled_rows(enc, method: str, cfg: MatcherConfig,
-                   rows) -> list[tuple[int, int]]:
-    from . import fastscan
-    return fastscan.scan_matches(enc, rows, method, cfg)
-
-
-def _resolve_encoding(aliases: list[Alias], engine: str, method: str,
-                      cfg: MatcherConfig):
-    """Pick the scan engine; returns an EncodedCorpus or None for pure Python.
-
-    ``fastscan``, and numpy with it, is imported only when numba is
-    installed and the compiled scan may run.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    _check_method(method)
-    if engine == "python":
-        return None
-    n = len(aliases)
-    if engine == "auto" and n * (n - 1) // 2 < _NUMBA_MIN_PAIRS:
-        return None
-    if importlib.util.find_spec("numba") is not None:
-        from . import fastscan
-        if fastscan.available():
-            enc = fastscan.encode_corpus(aliases)
-            if enc is None and engine == "numba":
-                raise ValueError("numba engine unavailable: alias fields are "
-                                 "not latin-1 encodable")
-            return enc
-    if engine == "numba":
-        raise ValueError("numba engine unavailable: numba is not importable")
-    return None
-
-
 _WORKER_STATE = None
 
 
@@ -219,28 +181,35 @@ def _init_worker(*state):
 
 
 def _scan_stripe(rows):
-    scan, state = _WORKER_STATE
-    return scan(*state, rows)
+    return _scan_rows(*_WORKER_STATE, rows)
 
 
-def _in_stripes(scan, state: tuple, n: int, workers: int, order) -> list:
-    """``scan(*state, rows)`` over the rows 0 .. n-2, sorted by ``order``.
+def _in_stripes(aliases: list[Alias], method: str, cfg: MatcherConfig,
+                partners, workers: int) -> list[tuple[float, int, int]]:
+    """:func:`_scan_rows` over the rows 0 .. n-2, in (i, j) order.
 
     With ``workers`` > 1 and enough aliases the rows are dealt round-robin
-    to worker processes, which balances the uneven row lengths; ``state``
-    is built before the workers fork, so each has it without a copy.
+    to forked worker processes, which balances the uneven row lengths; the
+    scan's inputs are in place before the fork, so each worker has them
+    without a copy. At most ``min(workers, os.cpu_count(), n - 1)``
+    processes start, and the scan runs in this process where ``fork`` is
+    not available.
     """
+    n = len(aliases)
     rows = range(n - 1)
-    if workers <= 1 or n < _WORKERS_MIN_ALIASES:
-        return scan(*state, rows)
-    stripes = [rows[w::workers] for w in range(workers)]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_init_worker,
-                  initargs=(scan, state)) as pool:
-        chunks = pool.map(_scan_stripe, stripes)
-    found = [p for chunk in chunks for p in chunk]
-    found.sort(key=order)
-    return found
+    if workers > 1 and n >= _WORKERS_MIN_ALIASES:
+        import multiprocessing  # here, not at load: it slows every CLI start
+        procs = min(workers, os.cpu_count() or 1, n - 1)
+        if procs > 1 and "fork" in multiprocessing.get_all_start_methods():
+            stripes = [rows[w::procs] for w in range(procs)]
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(procs, initializer=_init_worker,
+                          initargs=(aliases, method, cfg, partners)) as pool:
+                chunks = pool.map(_scan_stripe, stripes)
+            found = [p for chunk in chunks for p in chunk]
+            found.sort(key=itemgetter(1, 2))
+            return found
+    return _scan_rows(aliases, method, cfg, partners, rows)
 
 
 def scored_pairs(aliases: list[Alias], method: str = "gambit",
@@ -257,25 +226,16 @@ def scored_pairs(aliases: list[Alias], method: str = "gambit",
     """
     _check_method(method)
     partners = candidate_partners(aliases, method, cfg)
-    return _in_stripes(_scan_rows, (aliases, method, cfg, partners),
-                       len(aliases), workers, itemgetter(1, 2))
+    return _in_stripes(aliases, method, cfg, partners, workers)
 
 
 def matched_pairs(aliases: list[Alias], method: str = "gambit",
-                  cfg: MatcherConfig = DEFAULT_CONFIG, workers: int = 1,
-                  engine: str = "auto") -> list[tuple[int, int]]:
-    """All matching index pairs (i, j) with i < j, in that order.
-
-    The pure-Python engine returns the pairs of :func:`scored_pairs`
-    without their scores; the compiled engine decides all pairs. The result
-    is the same pair set regardless of worker count or engine.
-    """
-    enc = _resolve_encoding(aliases, engine, method, cfg)
-    if enc is None:
-        return [(i, j) for _, i, j in
-                scored_pairs(aliases, method, cfg, workers)]
-    return _in_stripes(_compiled_rows, (enc, method, cfg), len(aliases),
-                       workers, None)
+                  cfg: MatcherConfig = DEFAULT_CONFIG,
+                  workers: int = 1) -> list[tuple[int, int]]:
+    """All matching index pairs (i, j) with i < j, in that order: the pairs
+    of :func:`scored_pairs` without their scores. The result is the same
+    for any worker count."""
+    return [(i, j) for _, i, j in scored_pairs(aliases, method, cfg, workers)]
 
 
 def _alias_ids(aliases: list[Alias]) -> list[str]:
@@ -290,13 +250,13 @@ def _alias_ids(aliases: list[Alias]) -> list[str]:
 
 
 def disambiguate(aliases: list[Alias], method: str = "gambit",
-                 cfg: MatcherConfig = DEFAULT_CONFIG, workers: int = 1,
-                 engine: str = "auto") -> Partition:
+                 cfg: MatcherConfig = DEFAULT_CONFIG,
+                 workers: int = 1) -> Partition:
     """Group aliases into authors: match all pairs, then take the
     transitive closure of the matches."""
     ids = _alias_ids(aliases)
     dsu = _DisjointSet(len(ids))
-    for i, j in matched_pairs(aliases, method, cfg, workers, engine):
+    for i, j in matched_pairs(aliases, method, cfg, workers):
         dsu.union(i, j)
     return dsu.partition(ids)
 

@@ -8,8 +8,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .clustering import (ENGINES, Partition, _alias_ids, _DisjointSet,
-                         scored_pairs)
+from .clustering import Partition, _alias_ids, _DisjointSet, scored_pairs
 # kept in this namespace, where bench/workloads.py wraps it for its trace
 from .clustering import disambiguate  # noqa: F401
 from .errors import UniverseMismatchError
@@ -88,8 +87,7 @@ def sweep(aliases: list[Alias], truth: Partition,
           methods: Sequence[str] = ("gambit",),
           measures: Sequence[Measure] = (Measure.LEVENSHTEIN,),
           thresholds: Sequence[float] = (0.95,),
-          min_len: int = 3, workers: int = 1,
-          engine: str = "auto") -> list[SweepRow]:
+          min_len: int = 3, workers: int = 1) -> list[SweepRow]:
     """Score one disambiguation per (method, measure, threshold) against the
     truth. The simple method has no parameters, so it contributes a single
     row. Rows come with methods and measures in the order given and
@@ -101,15 +99,7 @@ def sweep(aliases: list[Alias], truth: Partition,
     union-find pass over the scored pairs, highest score first. A row's
     ``wall_time_s`` is an even share of its group's scan plus its own
     closure and evaluation, so the rows add up to the sweep's time.
-
-    The scan needs pair scores, which the numba engine does not give:
-    ``engine="numba"`` is rejected, and ``"auto"`` runs the pure scan.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    if engine == "numba":
-        raise ValueError("sweep needs pair scores, which the numba engine "
-                         "does not give; use --engine auto or python")
     thresholds = sorted(set(thresholds))
     for t in thresholds:
         if not 0.0 <= t <= 1.0:

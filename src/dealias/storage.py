@@ -33,7 +33,9 @@ def read_aliases(path) -> list[RawAlias]:
                 raise AliasFileError(
                     f"{path}:1: expected header {','.join(ALIAS_HEADER)!r}, "
                     f"got {header!r}")
-            for line_no, row in enumerate(reader, start=2):
+            for row in reader:
+                # the line the record ends on: a quoted field may span lines
+                line_no = reader.line_num
                 if not row:
                     continue  # stray blank line
                 if len(row) != 3:
@@ -68,7 +70,11 @@ def extract_from_log(stream: IO[str]) -> list[RawAlias]:
     Each useful line is ``name<TAB>email``; splitting happens at the first
     tab. Duplicate pairs are kept once (first occurrence order). Lines
     without a tab are skipped and counted in a single warning. Ids are
-    synthesized as a0001, a0002, ... in order of first appearance.
+    synthesized as a0001, a0002, ... in order of first appearance, padded
+    to four digits and no wider: past a9999 come a10000, a10001, ..., which
+    sort before a9999 as strings. A cluster is labelled with its smallest
+    member id as a string, so a cluster holding a9999 and a10000 is
+    labelled a10000.
     """
     seen: dict[tuple[str, str], None] = {}
     skipped = 0
@@ -106,7 +112,8 @@ def read_partition(path) -> Partition:
                 raise PartitionFileError(
                     f"{path}:1: expected header {','.join(PARTITION_HEADER)!r}, "
                     f"got {header!r}")
-            for line_no, row in enumerate(reader, start=2):
+            for row in reader:
+                line_no = reader.line_num
                 if not row:
                     continue
                 if len(row) != 2:

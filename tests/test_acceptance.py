@@ -45,7 +45,7 @@ def test_criterion_01_headline_quality_statement(data_dir):
         cfg = MatcherConfig()
         scores = {}
         for method in ("gambit", "simple", "bird"):
-            part = disambiguate(aliases, method, cfg, engine="python")
+            part = disambiguate(aliases, method, cfg)
             scores[method] = evaluate(part, truth).f1
         assert scores["gambit"] == 1.0
         assert scores["gambit"] > scores["simple"]
@@ -131,8 +131,7 @@ def test_criterion_06_threshold_monotonicity():
         previous = None
         for t in thresholds:
             cfg = MatcherConfig(threshold=t)
-            pairs = set(matched_pairs(aliases, "gambit", cfg,
-                                      engine="python"))
+            pairs = set(matched_pairs(aliases, "gambit", cfg))
             if previous is not None:
                 assert pairs.issubset(previous), \
                     f"pairs at t={t} not a subset of the previous level"
@@ -164,7 +163,7 @@ def test_criterion_08_labelled_corpus_comparison(data_dir):
         aliases = prepare_aliases(read_aliases(data_dir / "fixture_aliases.csv"))
         truth = read_partition(data_dir / "fixture_truth.csv")
         cfg = MatcherConfig()  # levenshtein, t = 0.95
-        reports = {m: evaluate(disambiguate(aliases, m, cfg, engine="python"),
+        reports = {m: evaluate(disambiguate(aliases, m, cfg),
                                truth)
                    for m in ("gambit", "simple", "bird")}
         assert reports["gambit"].f1 == 1.0

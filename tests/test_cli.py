@@ -64,7 +64,7 @@ def test_bad_threshold_value_exits_2(capsys):
 
 
 def test_disambiguate_to_stdout(capsys):
-    assert run_cli("disambiguate", FIXTURE_ALIASES, "--engine", "python") == 0
+    assert run_cli("disambiguate", FIXTURE_ALIASES) == 0
     out, err = capsys.readouterr()
     lines = out.splitlines()
     assert lines[0] == "alias_id,author_id"
@@ -74,8 +74,7 @@ def test_disambiguate_to_stdout(capsys):
 
 def test_disambiguate_evaluate_round_trip(tmp_path, capsys):
     part = tmp_path / "part.csv"
-    assert run_cli("disambiguate", FIXTURE_ALIASES, "-o", str(part),
-                   "--engine", "python") == 0
+    assert run_cli("disambiguate", FIXTURE_ALIASES, "-o", str(part)) == 0
     assert run_cli("evaluate", str(part), FIXTURE_TRUTH) == 0
     out = capsys.readouterr().out
     assert "tp = 16" in out
@@ -91,23 +90,11 @@ def test_simple_with_threshold_warns(tmp_path, capsys):
     assert "ignores" in capsys.readouterr().err
 
 
-def test_engines_give_identical_output_files(tmp_path, capsys):
-    pytest.importorskip("numba")
-    p_py = tmp_path / "py.csv"
-    p_nb = tmp_path / "nb.csv"
-    assert run_cli("disambiguate", FIXTURE_ALIASES, "-o", str(p_py),
-                   "--engine", "python") == 0
-    assert run_cli("disambiguate", FIXTURE_ALIASES, "-o", str(p_nb),
-                   "--engine", "numba") == 0
-    assert p_py.read_bytes() == p_nb.read_bytes()
-    capsys.readouterr()
-
-
 def test_sweep_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", FIXTURE_ALIASES, FIXTURE_TRUTH, "-o", str(out),
                    "--methods", "gambit,simple,bird", "--measures", "lev",
-                   "--thresholds", "0.9,0.95", "--engine", "python") == 0
+                   "--thresholds", "0.9,0.95") == 0
     lines = out.read_text().splitlines()
     assert lines[0] == ("method,measure,threshold,tp,fp,fn,"
                         "precision,recall,f1,wall_time_ms")
@@ -117,13 +104,6 @@ def test_sweep_writes_csv(tmp_path, capsys):
     assert cells[3:6] == ["16", "0", "0"]
     assert cells[8] == "1.000000"
     capsys.readouterr()
-
-
-def test_sweep_rejects_numba_engine(capsys):
-    assert run_cli("sweep", FIXTURE_ALIASES, FIXTURE_TRUTH,
-                   "--engine", "numba") == 2
-    assert ("sweep needs pair scores, which the numba engine does not give"
-            in capsys.readouterr().err)
 
 
 def test_input_not_utf8_exits_2(tmp_path, capsys):
@@ -190,7 +170,7 @@ def test_stop_words_flag(tmp_path, capsys):
                        "x2,John,j2@y.org\n")
     part = tmp_path / "p.csv"
     assert run_cli("disambiguate", str(aliases), "-o", str(part),
-                   "--stop-words", str(stop), "--engine", "python") == 0
+                   "--stop-words", str(stop)) == 0
     # with "doe" removed both names clean to "john" and match exactly
     assert part.read_text() == "alias_id,author_id\nx1,x1\nx2,x1\n"
     capsys.readouterr()
@@ -199,8 +179,7 @@ def test_stop_words_flag(tmp_path, capsys):
 def test_threads_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DEALIAS_THREADS", "2")
     part = tmp_path / "p.csv"
-    assert run_cli("disambiguate", FIXTURE_ALIASES, "-o", str(part),
-                   "--engine", "python") == 0
+    assert run_cli("disambiguate", FIXTURE_ALIASES, "-o", str(part)) == 0
     monkeypatch.setenv("DEALIAS_THREADS", "not a number")
     assert run_cli("disambiguate", FIXTURE_ALIASES, "-o", str(part)) == 2
     capsys.readouterr()

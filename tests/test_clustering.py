@@ -4,8 +4,8 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dealias import clustering, fastscan
-from dealias.clustering import (ENGINES, METHODS, Partition, _DisjointSet,
+from dealias import clustering
+from dealias.clustering import (METHODS, Partition, _DisjointSet,
                                 disambiguate, matched_pairs, merge_partitions,
                                 pair_score)
 from dealias.errors import (DealiasError, DuplicateAliasIdError,
@@ -76,7 +76,7 @@ def test_transitive_closure_groups_unlinked_pair():
     c = make_alias("x3", "g hopper", "")
     cfg = MatcherConfig()
     assert not is_match(score_pair(a, c, cfg), cfg)
-    p = disambiguate([a, b, c], "gambit", cfg, engine="python")
+    p = disambiguate([a, b, c], "gambit", cfg)
     assert p.author_count() == 1
 
 
@@ -97,25 +97,11 @@ def test_matched_pairs_rejects_unknown_method_and_engine():
     aliases = [make_alias("a", "x y", ""), make_alias("b", "x y", "")]
     with pytest.raises(ValueError):
         matched_pairs(aliases, "fancy")
-    with pytest.raises(ValueError):
-        matched_pairs(aliases, "gambit", engine="gpu")
-
-
-def test_numba_engine_rejects_non_latin1():
-    aliases = [make_alias("a", "дмитрий", ""), make_alias("b", "x y", "")]
-    cause = ("not latin-1 encodable" if fastscan.available()
-             else "numba is not importable")
-    with pytest.raises(ValueError, match=cause):
-        matched_pairs(aliases, "gambit", engine="numba")
-    # auto falls back to the pure scan
-    assert matched_pairs(aliases, "gambit", engine="auto") == []
 
 
 def test_engines_equivalent_on_random_corpus(monkeypatch):
-    # every engine that runs here, and the pure scan split across worker
-    # processes, must decide every pair exactly as the all-pairs oracle
-    engines = [e for e in ENGINES if e != "numba" or fastscan.available()]
-    runs = [(engine, 1) for engine in engines] + [("python", 2)]
+    # the scan, in this process and split across worker processes, must
+    # decide every pair exactly as the all-pairs oracle
     monkeypatch.setattr(clustering, "_WORKERS_MIN_ALIASES", 2)
     corpora = {"random": random_corpus(seed=7, n=120),
                "mixed": mixed_corpus(seed=7, n=120)}
@@ -125,11 +111,11 @@ def test_engines_equivalent_on_random_corpus(monkeypatch):
                 cfg = MatcherConfig(threshold=t, measure=measure)
                 for method in METHODS:
                     expected = all_pairs_matches(aliases, method, cfg)
-                    for engine, workers in runs:
+                    for workers in (1, 2):
                         got = matched_pairs(aliases, method, cfg,
-                                            workers=workers, engine=engine)
-                        assert got == expected, (name, engine, workers,
-                                                 method, measure, t)
+                                            workers=workers)
+                        assert got == expected, (name, workers, method,
+                                                 measure, t)
 
 
 @settings(max_examples=200, deadline=None)
@@ -167,7 +153,7 @@ def test_engines_equivalent_on_random_corpus(monkeypatch):
 def test_blocked_scan_equals_all_pairs_at_any_threshold(aliases, t, method,
                                                         min_len):
     cfg = MatcherConfig(threshold=t, min_len=min_len)
-    assert (matched_pairs(aliases, method, cfg, engine="python")
+    assert (matched_pairs(aliases, method, cfg)
             == all_pairs_matches(aliases, method, cfg))
 
 
@@ -192,26 +178,66 @@ def test_pair_score_reaches_threshold_exactly_when_reference_matches(
                 a, b, method, measure, cut, score)
 
 
-def test_encode_corpus_round_trip_lengths():
-    aliases = [make_alias("a", "john doe", "jdoe@work com"),
-               make_alias("b", "", "")]
-    enc = fastscan.encode_corpus(aliases)
-    assert enc is not None and enc.count == 2
-    # needle rows exist for a, are absent (-1) for the empty alias
-    assert enc.lens[0, 5] == 4 and enc.lens[0, 6] == 5
-    assert enc.lens[1, 5] == -1 and enc.lens[1, 6] == -1
-    assert fastscan.encode_corpus([make_alias("a", "дмитрий", "")]) is None
-
-
 def test_workers_do_not_change_result():
     aliases = random_corpus(seed=11, n=600)
     cfg = MatcherConfig()
-    base = matched_pairs(aliases, "gambit", cfg, workers=1, engine="python")
-    multi = matched_pairs(aliases, "gambit", cfg, workers=3, engine="python")
+    base = matched_pairs(aliases, "gambit", cfg, workers=1)
+    multi = matched_pairs(aliases, "gambit", cfg, workers=3)
     assert base == multi
-    p1 = disambiguate(aliases, "gambit", cfg, workers=1, engine="python")
-    p4 = disambiguate(aliases, "gambit", cfg, workers=4, engine="python")
+    p1 = disambiguate(aliases, "gambit", cfg, workers=1)
+    p4 = disambiguate(aliases, "gambit", cfg, workers=4)
     assert p1 == p4
+
+
+class _InProcessPool:
+    """Stands in for a process pool: records its size, maps in this
+    process."""
+
+    sizes = []
+
+    def __init__(self, processes, initializer, initargs):
+        self.sizes.append(processes)
+        initializer(*initargs)
+
+    def map(self, func, items):
+        return [func(item) for item in items]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+class _FakeContext:
+    Pool = _InProcessPool
+
+
+def test_worker_pool_is_bounded_and_needs_fork(monkeypatch):
+    import multiprocessing
+    aliases = random_corpus(seed=11, n=40)
+    cfg = MatcherConfig()
+    expected = all_pairs_matches(aliases, "gambit", cfg)
+    monkeypatch.setattr(clustering, "_WORKERS_MIN_ALIASES", 2)
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: _FakeContext())
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    # no more processes than asked for, than cores, or than rows
+    for workers, cores, n, size in [(100_000, 8, 40, 8), (100_000, 8, 5, 4),
+                                    (3, 8, 40, 3)]:
+        monkeypatch.setattr(clustering.os, "cpu_count", lambda: cores)
+        got = matched_pairs(aliases[:n], "gambit", cfg, workers=workers)
+        assert got == all_pairs_matches(aliases[:n], "gambit", cfg)
+        assert _InProcessPool.sizes[-1] == size
+    # an unknown core count counts as one core: no pool
+    monkeypatch.setattr(clustering.os, "cpu_count", lambda: None)
+    assert matched_pairs(aliases, "gambit", cfg, workers=100_000) == expected
+    # where fork is unavailable the scan runs here, without a pool
+    monkeypatch.setattr(clustering.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    assert matched_pairs(aliases, "gambit", cfg, workers=4) == expected
+    assert _InProcessPool.sizes == [8, 4, 3]
 
 
 def test_merge_partitions():
@@ -224,5 +250,4 @@ def test_merge_partitions():
 
 
 def test_engines_tuple_stable():
-    assert ENGINES == ("auto", "python", "numba")
     assert METHODS == ("gambit", "simple", "bird")

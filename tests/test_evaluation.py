@@ -190,7 +190,7 @@ def test_sweep_rows_and_csv():
     truth = Partition({a.id: a.id for a in aliases})
     rows = sweep(aliases, truth, methods=("gambit", "simple", "bird"),
                  measures=(Measure.LEVENSHTEIN, Measure.JARO_WINKLER),
-                 thresholds=(0.9, 0.95), engine="python")
+                 thresholds=(0.9, 0.95))
     # gambit and bird: 2 measures x 2 thresholds; simple: 1 row
     assert len(rows) == 4 + 1 + 4
     simple_rows = [r for r in rows if r.method == "simple"]
@@ -210,7 +210,7 @@ def test_sweep_rows_and_csv():
 def test_sweep_thresholds_sorted_and_validated():
     aliases = random_corpus(seed=5, n=10)
     truth = Partition({a.id: a.id for a in aliases})
-    rows = sweep(aliases, truth, thresholds=(0.95, 0.5, 0.95), engine="python")
+    rows = sweep(aliases, truth, thresholds=(0.95, 0.5, 0.95))
     assert [r.threshold for r in rows] == [0.5, 0.95]
     with pytest.raises(ValueError):
         sweep(aliases, truth, thresholds=(1.5,))
@@ -223,15 +223,14 @@ def _reference_sweep(aliases, truth, measures, thresholds, min_len):
     rows = []
     for method in METHODS:
         if method == "simple":
-            part = disambiguate(aliases, method, MatcherConfig(min_len=min_len),
-                                engine="python")
+            part = disambiguate(aliases, method, MatcherConfig(min_len=min_len))
             rows.append((method, None, None, evaluate(part, truth)))
             continue
         for measure in measures:
             for t in sorted(set(thresholds)):
                 cfg = MatcherConfig(threshold=t, measure=measure,
                                     min_len=min_len)
-                part = disambiguate(aliases, method, cfg, engine="python")
+                part = disambiguate(aliases, method, cfg)
                 rows.append((method, measure, t, evaluate(part, truth)))
     return rows
 

@@ -50,6 +50,14 @@ def test_read_aliases_tolerates_bom_and_blank_lines(tmp_path):
     assert [r.id for r in read_aliases(path)] == ["a1", "a2"]
 
 
+def test_read_aliases_counts_lines_inside_quoted_fields(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text('id,name,email\nx1,"John\nDoe",j@x\nx1,Ann,a@y\n')
+    message = r"dup\.csv:4: duplicate alias id 'x1' \(first seen on line 3\)"
+    with pytest.raises(AliasFileError, match=message):
+        read_aliases(path)
+
+
 def test_read_aliases_names_the_line_that_is_not_utf8(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"id,name,email\r\na1,Jose,j@x\r\na2,Jos\xe9,j2@x\r\n")
@@ -84,6 +92,15 @@ def test_extract_from_log_dedup_and_ids(caplog):
         RawAlias("a0003", "John Doe", "other@work.com"),
     ]
     assert "skipped 2" in caplog.text
+
+
+def test_extract_ids_past_a9999_take_the_smallest_string_label():
+    log = io.StringIO("".join(f"n{k}\te{k}\n" for k in range(10000)))
+    records = extract_from_log(log)
+    assert [r.id for r in records[9998:]] == ["a9999", "a10000"]
+    # no fixed width: a10000 sorts before a9999 and names their cluster
+    part = Partition.from_clusters([["a9999", "a10000"]])
+    assert part.assignment == {"a9999": "a10000", "a10000": "a10000"}
 
 
 def test_extract_from_log_splits_at_first_tab():
@@ -127,4 +144,12 @@ def test_read_partition_names_the_line_that_is_not_utf8(tmp_path):
     path = tmp_path / "p.csv"
     path.write_bytes(b"\xef\xbb\xbfalias_id,author_id\na1,a1\na2,\xe9\n")
     with pytest.raises(PartitionFileError, match=r"p\.csv:3: not valid UTF-8"):
+        read_partition(path)
+
+
+def test_read_partition_counts_lines_inside_quoted_fields(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text('alias_id,author_id\nx1,"John\nDoe"\nx1,Ann\n')
+    with pytest.raises(PartitionFileError,
+                       match=r"p\.csv:4: alias id 'x1' assigned twice"):
         read_partition(path)
