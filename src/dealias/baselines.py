@@ -5,8 +5,7 @@ from __future__ import annotations
 from math import inf
 
 from .normalize import Alias
-from .rules import (DEFAULT_CONFIG, MatcherConfig, _contains_both_names,
-                    _contains_first_initial, _contains_initial_last)
+from .rules import DEFAULT_CONFIG, MatcherConfig, gated_similarity, needles
 
 
 def simple_match(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> bool:
@@ -21,6 +20,19 @@ def simple_match(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> boo
     return len(a.email_base) >= m and a.email_base == b.email_base
 
 
+def _contained(a: Alias, b: Alias, min_len: int) -> bool:
+    # a rule-5, 6 or 7 pair of either alias holds in the other's email base
+    base = b.email_base
+    for pair in needles(a, min_len):
+        if pair and pair[0] in base and pair[1] in base:
+            return True
+    base = a.email_base
+    for pair in needles(b, min_len):
+        if pair and pair[0] in base and pair[1] in base:
+            return True
+    return False
+
+
 def bird_match(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> bool:
     """Disjunctive matcher: a pair matches when any one condition holds.
 
@@ -31,24 +43,13 @@ def bird_match(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> bool:
     against ``cfg.threshold``, and the ``cfg.min_len`` gate applies to every
     comparison.
     """
-    sim = cfg.measure.function()
-    m = cfg.min_len
+    gs = gated_similarity(cfg)
     t = cfg.threshold
-
-    def gs(x: str, y: str) -> float:
-        if len(x) < m or len(y) < m:
-            return 0.0
-        return sim(x, y)
-
     if gs(a.name, b.name) >= t:
         return True
     if min(gs(a.first_name, b.first_name), gs(a.last_name, b.last_name)) >= t:
         return True
-    if _contains_both_names(a, b, m) or _contains_both_names(b, a, m):
-        return True
-    if _contains_initial_last(a, b, m) or _contains_initial_last(b, a, m):
-        return True
-    if _contains_first_initial(a, b, m) or _contains_first_initial(b, a, m):
+    if _contained(a, b, cfg.min_len):
         return True
     return gs(a.email_base, b.email_base) >= t
 
@@ -62,19 +63,9 @@ def bird_score(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> float
     similarities, and the email-base similarity. ``cfg.threshold`` is not
     used.
     """
-    m = cfg.min_len
-    if (_contains_both_names(a, b, m) or _contains_both_names(b, a, m)
-            or _contains_initial_last(a, b, m) or _contains_initial_last(b, a, m)
-            or _contains_first_initial(a, b, m)
-            or _contains_first_initial(b, a, m)):
+    if _contained(a, b, cfg.min_len):
         return inf
-    sim = cfg.measure.function()
-
-    def gs(x: str, y: str) -> float:
-        if len(x) < m or len(y) < m:
-            return 0.0
-        return sim(x, y)
-
+    gs = gated_similarity(cfg)
     return max(gs(a.name, b.name),
                min(gs(a.first_name, b.first_name),
                    gs(a.last_name, b.last_name)),

@@ -30,11 +30,11 @@ gambit rules they stand for, are
 * hash joins on the email (rule 8) and on the name (rules 1 and 0 at once:
   identical names are similar names too, which is two rules); simple joins
   the names and the email bases;
-* containment pairs: every alias whose first-initial+last-name (rule 5),
-  first-name+last-initial (rule 6) or first-and-last-name (rule 7) needles
-  occur in another alias's email base, found through an index of the
-  bases' ``min_len``-grams and confirmed with ``in``; bird's containment
-  conditions are the same three;
+* a substring join for the containment rules 5-7 (bird's containment
+  conditions are the same three): every alias's ``(needle, rest)`` pairs
+  from ``rules.needles`` are filed under the needle, each distinct email
+  base looks up its own substrings of the needle lengths, and a hit counts
+  when the rest occurs in the base too;
 * a Levenshtein join at tau on full names (rule 0; bird), on email bases
   (rule 9; bird), on first names (rule 2, whose first-name leg must reach
   tau; bird) and between first and last names (rules 3 and 4).
@@ -75,7 +75,7 @@ from math import comb, floor
 from typing import Iterable, Iterator, Sequence
 
 from .normalize import Alias
-from .rules import MatcherConfig
+from .rules import MatcherConfig, needles
 from .similarity import Measure, levenshtein_similarity
 
 # how far below tau the join cuts, to absorb float rounding in the rules
@@ -182,29 +182,21 @@ def _join_equal(found: _PairSet, owners: dict[str, list[int]],
 
 def _join_containment(found: _PairSet, aliases: list[Alias],
                       bases: dict[str, list[int]], min_len: int) -> None:
-    grams: dict[str, set[str]] = defaultdict(set)
-    for base in bases:
-        for k in range(len(base) - min_len + 1):
-            grams[base[k:k + min_len]].add(base)
-
+    # needle -> (alias, rule, rest): the alias's rule holds in every base
+    # that holds both the needle and the rest
+    by_needle: dict[str, list[tuple[int, int, str]]] = defaultdict(list)
     for i, a in enumerate(aliases):
-        if not a.first_name:
-            continue
-        # each needle lists the strings that must all occur in the other
-        # base, and the rule it stands for
-        needles = [((a.first_name[0] + a.last_name,), _RULE[5]),
-                   ((a.first_name + a.last_name[0],), _RULE[6])]
-        if len(a.first_name) >= min_len and len(a.last_name) >= min_len:
-            needles.append(((a.first_name, a.last_name), _RULE[7]))
-        for parts, rule in needles:
-            head = parts[0]
-            if len(head) < min_len:
-                continue
-            hosts = min((grams.get(head[k:k + min_len], set())
-                         for k in range(len(head) - min_len + 1)), key=len)
-            for base in hosts:
-                if all(part in base for part in parts):
-                    found.add_all((i,), bases[base], rule)
+        for rule, pair in zip(_RULE[5:8], needles(a, min_len)):
+            if pair:
+                by_needle[pair[0]].append((i, rule, pair[1]))
+    lengths = {len(needle) for needle in by_needle}
+    for base, owners in bases.items():
+        substrings = {base[k:k + n] for n in lengths
+                      for k in range(len(base) - n + 1)}
+        for needle in substrings & by_needle.keys():
+            for i, rule, rest in by_needle[needle]:
+                if rest in base:
+                    found.add_all((i,), owners, rule)
 
 
 def _similar_keys(keys: Iterable[str],

@@ -20,7 +20,7 @@ from .clustering import METHODS, disambiguate
 from .errors import DealiasError
 from .evaluation import evaluate, sweep, triage, write_sweep_csv
 from .normalize import StopWordConfig, prepare_aliases
-from .rules import MatcherConfig
+from .rules import DEFAULT_CONFIG, MatcherConfig
 from .similarity import Measure
 from .storage import (ALIAS_HEADER, PARTITION_HEADER, extract_from_log,
                       read_aliases, read_partition, write_aliases,
@@ -32,9 +32,6 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 DEFAULT_METHOD = "gambit"
-DEFAULT_MEASURE = "lev"
-DEFAULT_THRESHOLD = 0.95
-DEFAULT_MIN_LEN = 3
 THREADS_ENV_VAR = "DEALIAS_THREADS"
 
 
@@ -79,12 +76,13 @@ def _resolve_threads(value: int | None) -> int:
 
 
 def _matcher_config(args) -> MatcherConfig:
-    measure = Measure.from_token(args.measure if args.measure is not None
-                                 else DEFAULT_MEASURE)
-    threshold = (args.threshold if args.threshold is not None
-                 else DEFAULT_THRESHOLD)
-    min_len = args.min_len if args.min_len is not None else DEFAULT_MIN_LEN
-    return MatcherConfig(threshold=threshold, measure=measure, min_len=min_len)
+    # None marks an option left out, which `simple` warns about
+    measure = (DEFAULT_CONFIG.measure if args.measure is None
+               else Measure.from_token(args.measure))
+    threshold = (DEFAULT_CONFIG.threshold if args.threshold is None
+                 else args.threshold)
+    return MatcherConfig(threshold=threshold, measure=measure,
+                         min_len=args.min_len)
 
 
 def _load_prepared(path, stop_words_path):
@@ -134,15 +132,11 @@ def cmd_sweep(args) -> int:
     aliases = _load_prepared(args.aliases, args.stop_words)
     truth = read_partition(args.truth)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
     measures = [Measure.from_token(tok.strip())
                 for tok in args.measures.split(",") if tok.strip()]
     thresholds = parse_thresholds(args.thresholds)
-    min_len = args.min_len if args.min_len is not None else DEFAULT_MIN_LEN
     rows = sweep(aliases, truth, methods, measures, thresholds,
-                 min_len=min_len, workers=_resolve_threads(args.threads))
+                 min_len=args.min_len, workers=_resolve_threads(args.threads))
     if args.output:
         with open(args.output, "w", newline="", encoding="utf-8") as fh:
             write_sweep_csv(rows, fh)
@@ -194,12 +188,14 @@ def _add_matcher_options(p, with_method=True):
         p.add_argument("--method", choices=METHODS, default=DEFAULT_METHOD)
     p.add_argument("--measure", choices=[m.value for m in Measure],
                    default=None,
-                   help=f"string similarity measure (default {DEFAULT_MEASURE})")
+                   help="string similarity measure "
+                        f"(default {DEFAULT_CONFIG.measure.value})")
     p.add_argument("--threshold", type=float, default=None,
-                   help=f"match decision threshold (default {DEFAULT_THRESHOLD})")
-    p.add_argument("--min-len", type=int, default=None,
+                   help="match decision threshold "
+                        f"(default {DEFAULT_CONFIG.threshold})")
+    p.add_argument("--min-len", type=int, default=DEFAULT_CONFIG.min_len,
                    help="strings shorter than this never match "
-                        f"(default {DEFAULT_MIN_LEN})")
+                        f"(default {DEFAULT_CONFIG.min_len})")
 
 
 def _add_common_input_options(p):
@@ -243,12 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep CSV to write (default stdout)")
     p.add_argument("--methods", default=DEFAULT_METHOD,
                    help="comma-separated subset of " + ",".join(METHODS))
-    p.add_argument("--measures", default=DEFAULT_MEASURE,
+    p.add_argument("--measures", default=DEFAULT_CONFIG.measure.value,
                    help="comma-separated subset of "
                         + ",".join(m.value for m in Measure))
-    p.add_argument("--thresholds", default=str(DEFAULT_THRESHOLD),
+    p.add_argument("--thresholds", default=str(DEFAULT_CONFIG.threshold),
                    help="comma list '0.9,0.95' or range '0.5:1.0:0.05'")
-    p.add_argument("--min-len", type=int, default=None)
+    p.add_argument("--min-len", type=int, default=DEFAULT_CONFIG.min_len)
     _add_common_input_options(p)
     _add_run_options(p)
     p.set_defaults(func=cmd_sweep)

@@ -8,7 +8,8 @@ import time
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .clustering import Partition, _alias_ids, _DisjointSet, scored_pairs
+from .clustering import (Partition, _alias_ids, _check_method, _DisjointSet,
+                         scored_pairs)
 # kept in this namespace, where bench/workloads.py wraps it for its trace
 from .clustering import disambiguate  # noqa: F401
 from .errors import UniverseMismatchError
@@ -99,7 +100,16 @@ def sweep(aliases: list[Alias], truth: Partition,
     union-find pass over the scored pairs, highest score first. A row's
     ``wall_time_s`` is an even share of its group's scan plus its own
     closure and evaluation, so the rows add up to the sweep's time.
+
+    Before any scan, raises ``ValueError`` on no or an unknown method, no
+    measure for a method that uses one, or no or an out-of-range threshold.
     """
+    if not methods:
+        raise ValueError("no methods given")
+    for method in methods:
+        _check_method(method)
+    if not measures and any(method != "simple" for method in methods):
+        raise ValueError("no measures given")
     thresholds = sorted(set(thresholds))
     for t in thresholds:
         if not 0.0 <= t <= 1.0:

@@ -12,7 +12,7 @@ decision even at threshold 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .normalize import Alias
 from .similarity import Measure
@@ -43,31 +43,39 @@ class MatcherConfig:
 DEFAULT_CONFIG = MatcherConfig()
 
 
-def _contains_initial_last(x: Alias, y: Alias, min_len: int) -> bool:
-    # first-name initial glued to the last name, e.g. "jdoe", inside y's
-    # email base
-    if not x.first_name:
-        return False
-    needle = x.first_name[0] + x.last_name
-    return (len(needle) >= min_len and len(y.email_base) >= min_len
-            and needle in y.email_base)
+def gated_similarity(cfg: MatcherConfig) -> Callable[[str, str], float]:
+    """``cfg.measure``'s similarity, 0 when either string is shorter than
+    ``cfg.min_len``."""
+    sim = cfg.measure.function()
+    m = cfg.min_len
+
+    def gs(x: str, y: str) -> float:
+        if len(x) < m or len(y) < m:
+            return 0.0
+        return sim(x, y)
+
+    return gs
 
 
-def _contains_first_initial(x: Alias, y: Alias, min_len: int) -> bool:
-    # first name glued to the last-name initial, e.g. "johnd"
-    if not x.last_name:
-        return False
-    needle = x.first_name + x.last_name[0]
-    return (len(needle) >= min_len and len(y.email_base) >= min_len
-            and needle in y.email_base)
+def needles(x: Alias, min_len: int) -> tuple[tuple[str, str] | None, ...]:
+    """What rules 5, 6 and 7 look for in the other alias's email base: the
+    first-name initial glued to the last name ("jdoe"), the first name glued
+    to the last-name initial ("johnd"), and the last and the first name.
 
-
-def _contains_both_names(x: Alias, y: Alias, min_len: int) -> bool:
-    # first and last name both occur somewhere in y's email base
-    if (len(x.first_name) < min_len or len(x.last_name) < min_len
-            or len(y.email_base) < min_len):
-        return False
-    return x.first_name in y.email_base and x.last_name in y.email_base
+    One ``(needle, rest)`` pair per rule, in that order; the rule holds when
+    both occur in the base. A pair is None when a string it looks for is
+    shorter than ``min_len`` (so no base shorter than that can hold one).
+    """
+    first, last = x.first_name, x.last_name
+    if not (first and last):
+        return None, None, None
+    initial_last, first_initial = first[0] + last, first + last[0]
+    if len(first) >= min_len and len(last) >= min_len:
+        # the usual case: the glued needles are longer still
+        return (initial_last, ""), (first_initial, ""), (last, first)
+    return ((initial_last, "") if len(initial_last) >= min_len else None,
+            (first_initial, "") if len(first_initial) >= min_len else None,
+            None)
 
 
 def score_pair(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> tuple[float, ...]:
@@ -95,14 +103,8 @@ def score_pair(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> tuple
     take the minimum of the first-name leg and the best last-name leg, so
     both legs must hold. Containment rules check both directions.
     """
-    sim = cfg.measure.function()
+    gs = gated_similarity(cfg)
     m = cfg.min_len
-
-    def gs(x: str, y: str) -> float:
-        if len(x) < m or len(y) < m:
-            return 0.0
-        return sim(x, y)
-
     name_gate = len(a.name) >= m and len(b.name) >= m
     email_gate = len(a.email) >= m and len(b.email) >= m
 
@@ -122,14 +124,20 @@ def score_pair(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> tuple
                        gs(a.first_name, b.penultimate_name),
                        gs(a.first_name, b.last_name)))
 
-    r_initial_last = 1.0 if (_contains_initial_last(a, b, m)
-                             or _contains_initial_last(b, a, m)) else 0.0
-    r_first_initial = 1.0 if (_contains_first_initial(a, b, m)
-                              or _contains_first_initial(b, a, m)) else 0.0
-    r_both_in_base = 2.0 if (_contains_both_names(a, b, m)
-                             or _contains_both_names(b, a, m)) else 0.0
+    base_a, base_b = a.email_base, b.email_base
+    a5, a6, a7 = needles(a, m)
+    b5, b6, b7 = needles(b, m)
+    r_initial_last = 1.0 if ((a5 and a5[0] in base_b and a5[1] in base_b)
+                             or (b5 and b5[0] in base_a and b5[1] in base_a)
+                             ) else 0.0
+    r_first_initial = 1.0 if ((a6 and a6[0] in base_b and a6[1] in base_b)
+                              or (b6 and b6[0] in base_a and b6[1] in base_a)
+                              ) else 0.0
+    r_both_in_base = 2.0 if ((a7 and a7[0] in base_b and a7[1] in base_b)
+                             or (b7 and b7[0] in base_a and b7[1] in base_a)
+                             ) else 0.0
     r_email_eq = 2.0 if email_gate and a.email == b.email else 0.0
-    r_base_sim = gs(a.email_base, b.email_base)
+    r_base_sim = gs(base_a, base_b)
 
     return (r_name_sim, r_name_eq, r_straight, r_swap_b, r_swap_a,
             r_initial_last, r_first_initial, r_both_in_base, r_email_eq,

@@ -227,10 +227,11 @@ class Measure(enum.Enum):
                          f"{[m.value for m in cls]}")
 
     def function(self) -> Callable[[str, str], float]:
-        return _MEASURE_FUNCTIONS[self]
+        # by value: a member's hash runs in Python, once per pair score
+        return _MEASURE_FUNCTIONS[self._value_]
 
 
 _MEASURE_FUNCTIONS = {
-    Measure.LEVENSHTEIN: levenshtein_similarity,
-    Measure.JARO_WINKLER: jaro_winkler_similarity,
+    Measure.LEVENSHTEIN.value: levenshtein_similarity,
+    Measure.JARO_WINKLER.value: jaro_winkler_similarity,
 }

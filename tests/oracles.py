@@ -4,6 +4,8 @@ Deliberately written with different algorithms than the production code:
 full-matrix edit distance, explicit pair enumeration for evaluation,
 all-pairs reachability for the transitive closure, and plain double
 loops over the reference pair decisions for the match scan and triage.
+The containment predicates of rules 5-7 are kept as the matcher spelled
+them, one predicate per rule and direction, apart from ``rules.needles``.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from dealias.baselines import bird_match, simple_match
+from dealias.normalize import Alias
 from dealias.rules import is_match, score_pair
 
 
@@ -79,6 +82,43 @@ def closure_components(n: int, edges: list[tuple[int, int]]) -> list[int]:
                     if row_k[j]:
                         row_i[j] = True
     return [min(j for j in range(n) if reach[i][j]) for i in range(n)]
+
+
+def contains_initial_last(x: Alias, y: Alias, min_len: int) -> bool:
+    # first-name initial glued to the last name, e.g. "jdoe", inside y's
+    # email base
+    if not x.first_name:
+        return False
+    needle = x.first_name[0] + x.last_name
+    return (len(needle) >= min_len and len(y.email_base) >= min_len
+            and needle in y.email_base)
+
+
+def contains_first_initial(x: Alias, y: Alias, min_len: int) -> bool:
+    # first name glued to the last-name initial, e.g. "johnd"
+    if not x.last_name:
+        return False
+    needle = x.first_name + x.last_name[0]
+    return (len(needle) >= min_len and len(y.email_base) >= min_len
+            and needle in y.email_base)
+
+
+def contains_both_names(x: Alias, y: Alias, min_len: int) -> bool:
+    # first and last name both occur somewhere in y's email base
+    if (len(x.first_name) < min_len or len(x.last_name) < min_len
+            or len(y.email_base) < min_len):
+        return False
+    return x.first_name in y.email_base and x.last_name in y.email_base
+
+
+CONTAINMENT_RULES = {5: contains_initial_last, 6: contains_first_initial,
+                     7: contains_both_names}
+
+
+def containment_reference(a: Alias, b: Alias, min_len: int) -> set[int]:
+    """The rules among 5-7 that hold for the pair, in either direction."""
+    return {rule for rule, holds in CONTAINMENT_RULES.items()
+            if holds(a, b, min_len) or holds(b, a, min_len)}
 
 
 def reference_match(a, b, method, cfg) -> bool:

@@ -1,10 +1,12 @@
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from hypothesis import example, given, settings, strategies as st
 
-from dealias.blocking import _neighbourhood, _similar_keys, candidate_partners
+from dealias.blocking import (_join_containment, _neighbourhood, _owners,
+                              _PairSet, _similar_keys, candidate_partners)
 from dealias.rules import MatcherConfig
 from dealias.similarity import levenshtein_similarity
+from oracles import containment_reference
 from synth import make_alias
 
 CFG = MatcherConfig()  # gambit tau = 0.9
@@ -45,3 +47,24 @@ def test_similar_keys_equal_brute_force(keys, tau):
     assert set(got) == {
         (s, u) for s, u in combinations_with_replacement(sorted(keys), 2)
         if levenshtein_similarity(s, u) >= tau}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+           st.lists(st.text("ab", min_size=1, max_size=4),
+                    max_size=3).map(" ".join),
+           st.text("ab", max_size=10)), max_size=10),
+       st.integers(1, 4))
+# "jdoe" occurs twice in one base
+@example([("jo doe", "x"), ("x y", "jdoejdoe"), ("jo doe", "jdoe")], 3)
+def test_containment_join_equals_brute_force(rows, min_len):
+    aliases = [make_alias(str(k), name, base + "@x")
+               for k, (name, base) in enumerate(rows)]
+    found = _PairSet(len(aliases))
+    _join_containment(found, aliases,
+                      _owners([a.email_base for a in aliases], min_len),
+                      min_len)
+    for i, j in combinations(range(len(aliases)), 2):
+        expected = sum(1 << rule for rule in containment_reference(
+            aliases[i], aliases[j], min_len))
+        assert found._later[i].get(j, 0) == expected, (i, j)

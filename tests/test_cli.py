@@ -106,6 +106,26 @@ def test_sweep_writes_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_without_methods_exits_2(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", FIXTURE_ALIASES, FIXTURE_TRUTH, "-o", str(out),
+                   "--methods", ",") == 2
+    assert "no methods given" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_without_measures_exits_2(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", FIXTURE_ALIASES, FIXTURE_TRUTH, "-o", str(out),
+                   "--methods", "gambit,bird", "--measures", ",") == 2
+    assert "no measures given" in capsys.readouterr().err
+    assert not out.exists()
+    # simple takes no measure, so it needs none
+    assert run_cli("sweep", FIXTURE_ALIASES, FIXTURE_TRUTH, "-o", str(out),
+                   "--methods", "simple", "--measures", ",") == 0
+    assert len(out.read_text().splitlines()) == 2
+
+
 def test_input_not_utf8_exits_2(tmp_path, capsys):
     aliases = tmp_path / "a.csv"
     aliases.write_bytes(b"id,name,email\nx1,Jos\xe9,j@x.co\n")
@@ -193,13 +213,15 @@ def test_console_script_runs():
 
 
 def test_cli_import_leaves_numpy_out():
-    # numpy serves only the optional compiled scan
+    # every CLI process pays for what it imports; the worker pool imports
+    # multiprocessing only when it starts
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, dealias.cli; print('numpy' in sys.modules)"],
+         "import sys, dealias.cli; "
+         "print('numpy' in sys.modules, 'multiprocessing' in sys.modules)"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 # names and emails as people write them: empty, accented, non-Latin, with

@@ -218,6 +218,19 @@ def test_sweep_thresholds_sorted_and_validated():
         sweep(aliases, truth, thresholds=())
 
 
+def test_sweep_checks_every_method_before_a_scan():
+    aliases = random_corpus(seed=5, n=10)
+    truth = Partition({a.id: a.id for a in aliases})
+    with mock.patch("dealias.evaluation.scored_pairs") as scan:
+        with pytest.raises(ValueError, match="unknown method 'nope'"):
+            sweep(aliases, truth, methods=("gambit", "nope"))
+        with pytest.raises(ValueError, match="no methods"):
+            sweep(aliases, truth, methods=())
+        with pytest.raises(ValueError, match="no measures"):
+            sweep(aliases, truth, methods=("simple", "bird"), measures=())
+    scan.assert_not_called()
+
+
 def _reference_sweep(aliases, truth, measures, thresholds, min_len):
     """One disambiguation and evaluation per row, every method."""
     rows = []

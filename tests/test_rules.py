@@ -1,10 +1,14 @@
+from math import inf
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dealias import RawAlias, disambiguate, prepare_aliases
+from dealias.baselines import bird_match, bird_score
 from dealias.rules import (MatcherConfig, is_match, score_pair,
                            top_two_average)
 from dealias.similarity import Measure
+from oracles import containment_reference
 from synth import make_alias, random_alias
 import random
 
@@ -207,3 +211,27 @@ def test_score_vector_shape_and_range(seed):
             assert v in (0.0, 1.0)
         if k in (7, 8):
             assert v in (0.0, 2.0)
+
+
+# names of zero to three short tokens and email bases over the same two
+# letters, so that the needles of rules 5-7 often occur in the other base
+_small_aliases = st.builds(
+    lambda name, base: make_alias("x", name, base + "@x"),
+    st.lists(st.text("ab", min_size=1, max_size=4), max_size=3).map(" ".join),
+    st.text("ab", max_size=8))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_small_aliases, _small_aliases, st.integers(1, 4))
+@example(make_alias("a", "", "ab@x"), make_alias("b", "ab", "ab@x"), 1)
+@example(make_alias("a", "ab", "b@x"), make_alias("b", "b a", "aab@x"), 2)
+def test_containment_rules_equal_the_oracle(a, b, min_len):
+    cfg = MatcherConfig(min_len=min_len)
+    expected = containment_reference(a, b, min_len)
+    for x, y in ((a, b), (b, a)):
+        s = score_pair(x, y, cfg)
+        assert {rule for rule in (5, 6, 7) if s[rule]} == expected
+        # bird's containment conditions are the same three rules
+        assert (bird_score(x, y, cfg) == inf) == bool(expected)
+        if expected:
+            assert bird_match(x, y, cfg)
