@@ -45,33 +45,48 @@ last name with j's first name. A join hit of ``first_i ~ last_j`` therefore
 marks rule 3 of the pair (i, j) when i < j, and rule 4 of the pair (j, i)
 when i > j.
 
-The join uses deletion neighbourhoods (Bocek et al., "Fast Similarity
-Search in Large Dictionaries", 2007): if two strings are within edit
-distance d, deleting at most d characters from each yields a common
-string. Similarity 1 - d / max(len) >= tau bounds d by
-(1 - tau) * len(s) / tau for either string s, so each string indexes the
-neighbourhood of that budget. The keys are taken shortest first: each
-probes the index of the keys before it and then adds its own neighbourhood,
-so every pair of keys is confirmed once and no key's neighbourhood is held
-after its turn. A string whose neighbourhood would be too large is
-compared directly against every earlier string whose length is within the
-ratio tau of its own. Join hits are confirmed with the same similarity
-function the rules use.
+The Levenshtein join is a partition join (Li, Deng, Wang and Feng,
+"Pass-Join: A Partition-based Method for Similarity Joins", PVLDB 2011).
+The keys are taken shortest first. Each probes the index of the keys before
+it, which are no longer than itself, and is then filed in it, so every
+pair of keys is confirmed once. The budgets come from the rules' own float
+test, ``1.0 - d / n >= tau`` for d edits and a longer string of length n,
+and never from ``floor((1 - tau) * n)``, which can round one edit short (at
+tau = 0.9 and n = 10 it is ``floor(0.9999999999999998)`` = 0, while a
+one-edit pair scores exactly 0.9):
+
+* a probing key of length n may be d <= D(n) edits away from a partner,
+  D(n) being the largest d that passes the test, so it probes only the
+  indexed lengths n - D(n) .. n;
+* a filed key of length l has no longer-or-equal partner more than E(l)
+  edits away, E(l) being the largest d with ``1.0 - d / (l + d) >= tau``
+  (a partner is at most l + d long), so it is cut into E(l) + 1 even
+  segments and filed under each (length, segment number, segment).
+
+Pigeonhole: d <= E(l) edits touch at most d of the E(l) + 1 segments, so
+one segment of the shorter key occurs untouched in the longer one. If it
+starts at p in the shorter key, it starts at p + shift in the longer one,
+with at least |shift| edits before it and |delta - shift| after it, delta
+= n - l being the difference in length. So |shift| + |delta - shift| <= d
+<= D(n), which is the window ceil((delta - D(n)) / 2) <= shift <=
+floor((delta + D(n)) / 2), and the probe looks up its substrings at those
+starts only. Every hit is confirmed with the same similarity function the
+rules use, so the join yields exactly the pairs whose similarity reaches
+tau.
 
 All cutoffs are lowered by a small slack so that float rounding in the
 rules' arithmetic can only add candidates, never drop a match.
 
 There is no index, and every pair is scanned, when tau <= 1/2 or when the
-measure is Jaro-Winkler. At tau <= 1/2 the deletion budget of every string
-reaches its whole length, so the join could prune nothing (and at
+measure is Jaro-Winkler. At tau <= 1/2 a key can be as many edits away
+from a partner as it has characters, so it would need more segments than
+characters and an empty segment, which occurs in every string (and at
 tau <= 0 every pair can match); for Jaro-Winkler no filter here is proven.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import defaultdict
-from math import comb, floor
 from typing import Iterable, Iterator, Sequence
 
 from .normalize import Alias
@@ -80,8 +95,6 @@ from .similarity import Measure, levenshtein_similarity
 
 # how far below tau the join cuts, to absorb float rounding in the rules
 _FLOAT_SLACK = 1e-9
-# strings with more deletion variants than this are compared directly
-_MAX_NEIGHBOURHOOD = 2000
 
 # bit k of a pair's mask: the join of gambit rule k found the pair
 _RULE = tuple(1 << k for k in range(10))
@@ -203,42 +216,52 @@ def _similar_keys(keys: Iterable[str],
                   tau: float) -> Iterator[tuple[str, str]]:
     """Yield ``(s, s)`` for every key, and ``(s, u)`` once for every other
     unordered pair of ``keys`` whose Levenshtein similarity is at least
-    tau.
+    tau, for 1/2 < tau <= 1.
 
-    Shortest first, each key probes the deletion-neighbourhood index of the
-    keys before it, then adds its own variants. A neighbourhood only grows
-    with the key's length, so once a key is too wide to index, every later
-    key is too: the wide keys are compared directly with every earlier key
-    of a possible length, and no indexed key ever has to look for them.
+    Shortest first, each key looks up its substrings in the shift window of
+    every segment of the lengths it can match, confirms the keys found, and
+    then files its own segments.
     """
-    index: dict[str, list[str]] = {}
-    done: list[str] = []       # the keys so far, shortest first
-    lens: list[int] = []
+    # length -> per segment, its (start, end) and segment -> keys filed
+    index: dict[int, list[tuple[int, int, dict[str, list[str]]]]] = {}
     for s in sorted(keys, key=len):
         yield s, s
-        hood = _neighbourhood(s, tau)
-        if hood is None:
-            # similarity >= tau needs len(shorter) >= tau * len(longer)
-            near = done[bisect_left(lens, tau * len(s)):]
-        else:
-            near = {u for variant in hood for u in index.get(variant, ())}
-            for variant in hood:
-                index.setdefault(variant, []).append(s)
+        n = len(s)
+        budget = _edit_budget(n, tau)
+        near: set[str] = set()
+        for length in range(n - budget, n + 1):
+            delta = n - length
+            low, high = -((budget - delta) // 2), (delta + budget) // 2
+            for start, end, filed in index.get(length, ()):
+                width = end - start
+                for at in range(max(start + low, 0),
+                                min(start + high, n - width) + 1):
+                    near.update(filed.get(s[at:at + width], ()))
         for u in near:
             if levenshtein_similarity(s, u) >= tau:
                 yield s, u
-        done.append(s)
-        lens.append(len(s))
+        if n not in index:
+            parts = _max_edits_to_longer(n, tau) + 1
+            index[n] = [(k * n // parts, (k + 1) * n // parts, {})
+                        for k in range(parts)]
+        for start, end, filed in index[n]:
+            filed.setdefault(s[start:end], []).append(s)
 
 
-def _neighbourhood(s: str, tau: float) -> set[str] | None:
-    """Every string left after deleting up to the budget of characters
-    from ``s``; None when that set would exceed ``_MAX_NEIGHBOURHOOD``."""
-    budget = min(floor((1.0 - tau) * len(s) / tau), len(s))
-    if sum(comb(len(s), k) for k in range(budget + 1)) > _MAX_NEIGHBOURHOOD:
-        return None
-    hood = frontier = {s}
-    for _ in range(budget):
-        frontier = {v[:k] + v[k + 1:] for v in frontier for k in range(len(v))}
-        hood = hood | frontier
-    return hood
+def _edit_budget(n: int, tau: float) -> int:
+    """The most edits d a pair whose longer key has length n can take and
+    keep ``levenshtein_similarity`` at tau or above."""
+    d = 0
+    while d < n and 1.0 - (d + 1) / n >= tau:
+        d += 1
+    return d
+
+
+def _max_edits_to_longer(length: int, tau: float) -> int:
+    """The most edits d a key of ``length`` can be from a partner at least
+    as long with similarity >= tau: a partner is at most length + d long,
+    and the longer it is, the higher the similarity of d edits."""
+    d = 0
+    while 1.0 - (d + 1) / (length + d + 1) >= tau:
+        d += 1
+    return d

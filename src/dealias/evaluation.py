@@ -91,8 +91,9 @@ def sweep(aliases: list[Alias], truth: Partition,
           min_len: int = 3, workers: int = 1) -> list[SweepRow]:
     """Score one disambiguation per (method, measure, threshold) against the
     truth. The simple method has no parameters, so it contributes a single
-    row. Rows come with methods and measures in the order given and
-    thresholds ascending.
+    row. Rows come with methods and measures in the order first given and
+    thresholds ascending; a repeated method, measure or threshold counts
+    once.
 
     No pair score depends on the threshold, and a pair matches at t exactly
     when its score is >= t. So each (method, measure) is scanned once, at the
@@ -104,6 +105,8 @@ def sweep(aliases: list[Alias], truth: Partition,
     Before any scan, raises ``ValueError`` on no or an unknown method, no
     measure for a method that uses one, or no or an out-of-range threshold.
     """
+    methods = list(dict.fromkeys(methods))
+    measures = list(dict.fromkeys(measures))
     if not methods:
         raise ValueError("no methods given")
     for method in methods:

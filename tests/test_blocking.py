@@ -2,8 +2,8 @@ from itertools import combinations, combinations_with_replacement
 
 from hypothesis import example, given, settings, strategies as st
 
-from dealias.blocking import (_join_containment, _neighbourhood, _owners,
-                              _PairSet, _similar_keys, candidate_partners)
+from dealias.blocking import (_join_containment, _owners, _PairSet,
+                              _similar_keys, candidate_partners)
 from dealias.rules import MatcherConfig
 from dealias.similarity import levenshtein_similarity
 from oracles import containment_reference
@@ -11,8 +11,9 @@ from synth import make_alias
 
 CFG = MatcherConfig()  # gambit tau = 0.9
 
-# at tau = 0.9 a key of 28 letters has too many deletion variants to index,
-# and one of 27 letters does not
+# at tau = 0.9 keys of 27-29 letters are cut into four segments and probe
+# their own length and the two below it; keys of two or three letters are
+# filed whole
 _WIDE = "abc" * 9 + "a"
 _INDEXED = _WIDE[:-1]
 
@@ -31,17 +32,48 @@ def test_gambit_candidates_need_a_weight_two_rule_or_two_rules():
     assert candidate_partners(email_only, "gambit", CFG) == [[1], []]
 
 
-def test_example_keys_take_both_join_paths():
-    assert _neighbourhood(_WIDE, 0.9) is None
-    assert _neighbourhood(_INDEXED, 0.9) is not None
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.sets(st.text(alphabet="abc", max_size=32), max_size=12),
        st.floats(0.5, 1.0, exclude_min=True))
 # a wide key against an indexed one, a wide one and a short one
 @example({_WIDE, _INDEXED, _WIDE + "c", "abc", "ab"}, 0.9)
 def test_similar_keys_equal_brute_force(keys, tau):
+    got = [tuple(sorted(pair)) for pair in _similar_keys(keys, tau)]
+    assert len(got) == len(set(got)), "a pair was yielded twice"
+    assert set(got) == {
+        (s, u) for s, u in combinations_with_replacement(sorted(keys), 2)
+        if levenshtein_similarity(s, u) >= tau}
+
+
+@st.composite
+def _long_keys(draw):
+    """Up to eight keys: one of 40-90 letters over ``ab`` or ``abc``, and
+    others a few edits away from it, so that some pairs are similar."""
+    alphabet = draw(st.sampled_from(["ab", "abc"]))
+    first = draw(st.text(alphabet, min_size=40, max_size=90))
+    keys = {first}
+    # an edit replaces ``cut`` letters (0 or 1) at ``at`` with ``letter``
+    edit = st.tuples(st.integers(0, 90), st.integers(0, 1),
+                     st.sampled_from(["", *alphabet]))
+    for edits in draw(st.lists(st.lists(edit, max_size=12), max_size=7)):
+        key = first
+        for at, cut, letter in edits:
+            at %= len(key) + 1
+            key = key[:at] + letter + key[at + cut:]
+        keys.add(key)
+    return keys
+
+
+@settings(max_examples=300, deadline=None)
+@given(_long_keys(), st.floats(0.5, 1.0, exclude_min=True))
+# similarity exactly tau, where floor((1 - tau) * 10) is
+# floor(0.9999999999999998) = 0 at tau = 0.9 and 1 at tau = 0.8: one edit in
+# ten, a 9-letter key whose partner has a letter inserted in its middle,
+# and a 10-letter key two deletions from an 8-letter one
+@example({"abcdabcdab", "abcdabcdaa"}, 0.9)
+@example({"abcabcabc", "abcaabcabc"}, 0.9)
+@example({"abcdabcdab", "abcdcdab"}, 0.8)
+def test_similar_long_keys_equal_brute_force(keys, tau):
     got = [tuple(sorted(pair)) for pair in _similar_keys(keys, tau)]
     assert len(got) == len(set(got)), "a pair was yielded twice"
     assert set(got) == {

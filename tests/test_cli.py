@@ -106,6 +106,15 @@ def test_sweep_writes_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_repeated_method_and_measure_write_one_row(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", FIXTURE_ALIASES, FIXTURE_TRUTH, "-o", str(out),
+                   "--methods", "gambit,gambit", "--measures", "lev,lev",
+                   "--thresholds", "0.9") == 0
+    assert len(out.read_text().splitlines()) == 1 + 1
+    capsys.readouterr()
+
+
 def test_sweep_without_methods_exits_2(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", FIXTURE_ALIASES, FIXTURE_TRUTH, "-o", str(out),

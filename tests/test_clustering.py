@@ -99,7 +99,7 @@ def test_matched_pairs_rejects_unknown_method_and_engine():
         matched_pairs(aliases, "fancy")
 
 
-def test_engines_equivalent_on_random_corpus(monkeypatch):
+def test_scan_equals_oracle_for_one_and_two_workers(monkeypatch):
     # the scan, in this process and split across worker processes, must
     # decide every pair exactly as the all-pairs oracle
     monkeypatch.setattr(clustering, "_WORKERS_MIN_ALIASES", 2)

@@ -231,6 +231,23 @@ def test_sweep_checks_every_method_before_a_scan():
     scan.assert_not_called()
 
 
+def test_sweep_scans_each_distinct_method_and_measure_once():
+    aliases = random_corpus(seed=5, n=10)
+    truth = Partition({a.id: a.id for a in aliases})
+    with mock.patch("dealias.evaluation.scored_pairs",
+                    return_value=[]) as scan:
+        rows = sweep(aliases, truth, methods=("gambit", "bird", "gambit"),
+                     measures=(Measure.JARO_WINKLER, Measure.LEVENSHTEIN,
+                               Measure.JARO_WINKLER),
+                     thresholds=(0.9,))
+    assert [(call.args[1], call.args[2].measure)
+            for call in scan.call_args_list] == [
+        ("gambit", Measure.JARO_WINKLER), ("gambit", Measure.LEVENSHTEIN),
+        ("bird", Measure.JARO_WINKLER), ("bird", Measure.LEVENSHTEIN)]
+    assert [(r.method, r.measure) for r in rows] == [
+        (call.args[1], call.args[2].measure) for call in scan.call_args_list]
+
+
 def _reference_sweep(aliases, truth, measures, thresholds, min_len):
     """One disambiguation and evaluation per row, every method."""
     rows = []
