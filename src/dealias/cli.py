@@ -10,20 +10,18 @@ Exit codes: 0 success, 1 usage error, 2 bad input data, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
-import os
 import sys
 import time
 import traceback
 
 from .clustering import METHODS, disambiguate
 from .errors import DealiasError
-from .evaluation import evaluate, sweep, triage, write_sweep_csv
+from .evaluation import (evaluate, sweep, triage, write_sweep_csv,
+                         write_triage)
 from .normalize import StopWordConfig, prepare_aliases
 from .rules import DEFAULT_CONFIG, MatcherConfig
 from .similarity import Measure
-from .storage import (ALIAS_HEADER, PARTITION_HEADER, extract_from_log,
-                      read_aliases, read_partition, write_aliases,
+from .storage import (read_aliases, read_log, read_partition, write_aliases,
                       write_partition)
 
 EXIT_OK = 0
@@ -32,7 +30,6 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 DEFAULT_METHOD = "gambit"
-THREADS_ENV_VAR = "DEALIAS_THREADS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,19 +59,6 @@ def parse_thresholds(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip()]
 
 
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
-    return 1
-
-
 def _matcher_config(args) -> MatcherConfig:
     # None marks an option left out, which `simple` warns about
     measure = (DEFAULT_CONFIG.measure if args.measure is None
@@ -98,18 +82,10 @@ def cmd_disambiguate(args) -> int:
         print("warning: method 'simple' ignores --threshold and --measure",
               file=sys.stderr)
     cfg = _matcher_config(args)
-    threads = _resolve_threads(args.threads)
     start = time.perf_counter()
-    partition = disambiguate(aliases, args.method, cfg, workers=threads)
+    partition = disambiguate(aliases, args.method, cfg, workers=args.threads)
     elapsed = time.perf_counter() - start
-    if args.output:
-        write_partition(partition, args.output)
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(PARTITION_HEADER)
-        assignment = partition.assignment
-        for alias_id in sorted(assignment):
-            writer.writerow([alias_id, assignment[alias_id]])
+    write_partition(partition, args.output)
     print(f"{len(aliases)} aliases -> {partition.author_count()} authors "
           f"({args.method}, {elapsed:.2f}s)", file=sys.stderr)
     return EXIT_OK
@@ -136,26 +112,15 @@ def cmd_sweep(args) -> int:
                 for tok in args.measures.split(",") if tok.strip()]
     thresholds = parse_thresholds(args.thresholds)
     rows = sweep(aliases, truth, methods, measures, thresholds,
-                 min_len=args.min_len, workers=_resolve_threads(args.threads))
-    if args.output:
-        with open(args.output, "w", newline="", encoding="utf-8") as fh:
-            write_sweep_csv(rows, fh)
-    else:
-        write_sweep_csv(rows, sys.stdout)
+                 min_len=args.min_len, workers=args.threads)
+    write_sweep_csv(rows, args.output)
     return EXIT_OK
 
 
 def cmd_triage(args) -> int:
     aliases = _load_prepared(args.aliases, args.stop_words)
     result = triage(aliases, differ_cutoff=args.differ_cutoff)
-    for suffix, pairs in (("match", result.auto_match),
-                          ("differ", result.auto_differ),
-                          ("undecided", result.undecided)):
-        path = f"{args.out_prefix}_{suffix}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["id_a", "id_b"])
-            writer.writerows(pairs)
+    write_triage(result, args.out_prefix)
     total = (len(result.auto_match) + len(result.auto_differ)
              + len(result.undecided))
     print(f"auto_match = {len(result.auto_match)}")
@@ -166,26 +131,14 @@ def cmd_triage(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    if args.log == "-":
-        records = extract_from_log(sys.stdin)
-    else:
-        # utf-8-sig: a byte-order mark is not part of the first name
-        with open(args.log, encoding="utf-8-sig", errors="replace") as fh:
-            records = extract_from_log(fh)
-    if args.output:
-        write_aliases(records, args.output)
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(ALIAS_HEADER)
-        for rec in records:
-            writer.writerow([rec.id, rec.name, rec.email])
+    records = read_log(args.log)
+    write_aliases(records, args.output)
     print(f"{len(records)} distinct aliases", file=sys.stderr)
     return EXIT_OK
 
 
-def _add_matcher_options(p, with_method=True):
-    if with_method:
-        p.add_argument("--method", choices=METHODS, default=DEFAULT_METHOD)
+def _add_matcher_options(p):
+    p.add_argument("--method", choices=METHODS, default=DEFAULT_METHOD)
     p.add_argument("--measure", choices=[m.value for m in Measure],
                    default=None,
                    help="string similarity measure "
@@ -205,9 +158,9 @@ def _add_common_input_options(p):
 
 
 def _add_run_options(p):
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=int, default=1,
                    help="worker processes for the pair scan, at most one "
-                        f"per core (default ${THREADS_ENV_VAR} or 1)")
+                        "per core (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,7 +3,6 @@ inter-rater agreement, and triage of pairs for manual labelling."""
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -14,8 +13,9 @@ from .clustering import (Partition, _alias_ids, _check_method, _DisjointSet,
 from .clustering import disambiguate  # noqa: F401
 from .errors import UniverseMismatchError
 from .normalize import Alias
-from .rules import MatcherConfig
+from .rules import DEFAULT_CONFIG, MatcherConfig
 from .similarity import LevenshteinRows, Measure
+from .storage import write_csv
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,8 @@ def sweep(aliases: list[Alias], truth: Partition,
           methods: Sequence[str] = ("gambit",),
           measures: Sequence[Measure] = (Measure.LEVENSHTEIN,),
           thresholds: Sequence[float] = (0.95,),
-          min_len: int = 3, workers: int = 1) -> list[SweepRow]:
+          min_len: int = DEFAULT_CONFIG.min_len,
+          workers: int = 1) -> list[SweepRow]:
     """Score one disambiguation per (method, measure, threshold) against the
     truth. The simple method has no parameters, so it contributes a single
     row. Rows come with methods and measures in the order first given and
@@ -166,19 +167,18 @@ SWEEP_HEADER = ["method", "measure", "threshold", "tp", "fp", "fn",
                 "precision", "recall", "f1", "wall_time_ms"]
 
 
-def write_sweep_csv(rows: list[SweepRow], fileobj) -> None:
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(SWEEP_HEADER)
-    for row in rows:
-        r = row.report
-        writer.writerow([
-            row.method,
-            row.measure.value if row.measure is not None else "",
-            f"{row.threshold:.10g}" if row.threshold is not None else "",
-            r.true_positives, r.false_positives, r.false_negatives,
-            f"{r.precision:.6f}", f"{r.recall:.6f}", f"{r.f1:.6f}",
-            f"{row.wall_time_s * 1000.0:.1f}",
-        ])
+def write_sweep_csv(rows: list[SweepRow], out) -> None:
+    """Write the sweep file to ``out``: a path, an open text stream, or
+    None for standard output."""
+    write_csv(SWEEP_HEADER, ([
+        row.method,
+        row.measure.value if row.measure is not None else "",
+        f"{row.threshold:.10g}" if row.threshold is not None else "",
+        row.report.true_positives, row.report.false_positives,
+        row.report.false_negatives, f"{row.report.precision:.6f}",
+        f"{row.report.recall:.6f}", f"{row.report.f1:.6f}",
+        f"{row.wall_time_s * 1000.0:.1f}",
+    ] for row in rows), out)
 
 
 def cohen_kappa(labels_a: Sequence[bool], labels_b: Sequence[bool]) -> float:
@@ -226,12 +226,15 @@ def triage(aliases: list[Alias], differ_cutoff: float = 0.5) -> TriageResult:
 
     Every pair is written ``(id_a, id_b)`` with ``id_a < id_b``, and each
     list is in ascending order. Raises :class:`DuplicateAliasIdError` when
-    two aliases share an id.
+    two aliases share an id, and ``ValueError`` unless
+    0 <= ``differ_cutoff`` <= 1.
 
     The aliases are taken in id order, and each alias's distances to all
     later ones come from one pass of the packed kernel per field
     (:class:`LevenshteinRows`), so the pairs come out already sorted.
     """
+    if not 0.0 <= differ_cutoff <= 1.0:
+        raise ValueError(f"differ cutoff out of range: {differ_cutoff}")
     _alias_ids(aliases)
     aliases = sorted(aliases, key=lambda a: a.id)
     n = len(aliases)
@@ -280,3 +283,12 @@ def triage(aliases: list[Alias], differ_cutoff: float = 0.5) -> TriageResult:
             undecided.append(pair)
     return TriageResult(tuple(auto_match), tuple(auto_differ),
                         tuple(undecided))
+
+
+def write_triage(result: TriageResult, prefix) -> None:
+    """Write ``<prefix>_match.csv``, ``<prefix>_differ.csv`` and
+    ``<prefix>_undecided.csv``, each with one ``id_a,id_b`` row per pair."""
+    for suffix, pairs in (("match", result.auto_match),
+                          ("differ", result.auto_differ),
+                          ("undecided", result.undecided)):
+        write_csv(["id_a", "id_b"], pairs, f"{prefix}_{suffix}.csv")

@@ -71,7 +71,7 @@ class StopWordConfig:
         """
         words = set()
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 for line in fh:
                     token = line.split("#", 1)[0].strip().lower()
                     if token:

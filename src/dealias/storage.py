@@ -1,10 +1,13 @@
-"""Reading and writing the CSV file formats, and raw log extraction."""
+"""Every CSV file and stream the package reads or writes, and the raw log."""
 
 from __future__ import annotations
 
 import csv
+import io
 import logging
-from typing import IO, Iterable
+import sys
+from contextlib import contextmanager, nullcontext
+from typing import IO, Iterable, Iterator
 
 from .clustering import Partition
 from .errors import AliasFileError, PartitionFileError, _undecodable_line
@@ -16,6 +19,63 @@ ALIAS_HEADER = ["id", "name", "email"]
 PARTITION_HEADER = ["alias_id", "author_id"]
 
 
+def _read_rows(path, header: list[str],
+               error: type[Exception]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line, row)`` for each record of the CSV file at ``path``
+    after its header, skipping blank lines. ``line`` is the line the record
+    ends on: a quoted field may span lines. A byte-order mark is dropped.
+
+    Raises ``error``, naming the line, on a header other than ``header``, a
+    record with another number of fields, or bytes that are not UTF-8.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None or [h.strip() for h in first] != header:
+                raise error(f"{path}:1: expected header {','.join(header)!r}, "
+                            f"got {first!r}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise error(f"{path}:{reader.line_num}: expected "
+                                f"{len(header)} fields, got {len(row)}")
+                yield reader.line_num, row
+    except UnicodeDecodeError:
+        raise error(
+            f"{path}:{_undecodable_line(path)}: not valid UTF-8") from None
+
+
+@contextmanager
+def _text_output(out) -> Iterator[IO[str]]:
+    """``out`` open for writing text: a path is opened as UTF-8, None is
+    standard output, and an open stream is used as it is."""
+    if out is not None and not hasattr(out, "write"):
+        with open(out, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+    elif out is None and hasattr(sys.stdout, "buffer"):
+        # UTF-8 and bare "\n" whatever the locale, so standard output gets
+        # the bytes a file would
+        sys.stdout.flush()
+        fh = io.TextIOWrapper(sys.stdout.buffer, encoding="utf-8", newline="")
+        try:
+            yield fh
+        finally:
+            fh.detach()  # flushes, and leaves sys.stdout open
+    else:  # an open stream, or a stdout that holds no bytes (a StringIO)
+        yield sys.stdout if out is None else out
+
+
+def write_csv(header: list[str], rows: Iterable[Iterable], out) -> None:
+    """Write ``header`` and then ``rows`` as CSV lines ending in ``\\n`` to
+    ``out``: a path, an open text stream, or None for standard output."""
+    with _text_output(out) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def read_aliases(path) -> list[RawAlias]:
     """Load alias records from a CSV file with header ``id,name,email``.
 
@@ -25,43 +85,34 @@ def read_aliases(path) -> list[RawAlias]:
     """
     records: list[RawAlias] = []
     seen: dict[str, int] = {}
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ALIAS_HEADER:
-                raise AliasFileError(
-                    f"{path}:1: expected header {','.join(ALIAS_HEADER)!r}, "
-                    f"got {header!r}")
-            for row in reader:
-                # the line the record ends on: a quoted field may span lines
-                line_no = reader.line_num
-                if not row:
-                    continue  # stray blank line
-                if len(row) != 3:
-                    raise AliasFileError(
-                        f"{path}:{line_no}: expected 3 fields, got {len(row)}")
-                alias_id, name, email = row
-                if not alias_id:
-                    raise AliasFileError(f"{path}:{line_no}: empty alias id")
-                if alias_id in seen:
-                    raise AliasFileError(
-                        f"{path}:{line_no}: duplicate alias id {alias_id!r} "
-                        f"(first seen on line {seen[alias_id]})")
-                seen[alias_id] = line_no
-                records.append(RawAlias(alias_id, name, email))
-    except UnicodeDecodeError:
-        raise AliasFileError(
-            f"{path}:{_undecodable_line(path)}: not valid UTF-8") from None
+    for line_no, (alias_id, name, email) in _read_rows(path, ALIAS_HEADER,
+                                                       AliasFileError):
+        if not alias_id:
+            raise AliasFileError(f"{path}:{line_no}: empty alias id")
+        if alias_id in seen:
+            raise AliasFileError(
+                f"{path}:{line_no}: duplicate alias id {alias_id!r} "
+                f"(first seen on line {seen[alias_id]})")
+        seen[alias_id] = line_no
+        records.append(RawAlias(alias_id, name, email))
     return records
 
 
 def write_aliases(records: Iterable[RawAlias], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ALIAS_HEADER)
-        for rec in records:
-            writer.writerow([rec.id, rec.name, rec.email])
+    """Write ``id,name,email`` rows to ``path``, or to stdout for None."""
+    write_csv(ALIAS_HEADER, ((r.id, r.name, r.email) for r in records), path)
+
+
+def read_log(path) -> list[RawAlias]:
+    """:func:`extract_from_log` on the log at ``path``, or on stdin for ``-``,
+    dropping a byte-order mark and replacing bytes that are not UTF-8."""
+    with (nullcontext(sys.stdin.buffer) if path == "-"
+          else open(path, "rb")) as raw:
+        text = io.TextIOWrapper(raw, encoding="utf-8-sig", errors="replace")
+        try:
+            return extract_from_log(text)
+        finally:
+            text.detach()  # leaves sys.stdin open
 
 
 def extract_from_log(stream: IO[str]) -> list[RawAlias]:
@@ -92,41 +143,23 @@ def extract_from_log(stream: IO[str]) -> list[RawAlias]:
 
 
 def write_partition(partition: Partition, path) -> None:
-    """Write ``alias_id,author_id`` rows, sorted by alias id."""
+    """Write ``alias_id,author_id`` rows, sorted by alias id, to ``path``,
+    or to stdout for None."""
     assignment = partition.assignment
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PARTITION_HEADER)
-        for alias_id in sorted(assignment):
-            writer.writerow([alias_id, assignment[alias_id]])
+    write_csv(PARTITION_HEADER,
+              ((alias_id, assignment[alias_id])
+               for alias_id in sorted(assignment)), path)
 
 
 def read_partition(path) -> Partition:
     """Load a partition file; author labels are re-canonicalized on load."""
     assignment: dict[str, str] = {}
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != PARTITION_HEADER:
-                raise PartitionFileError(
-                    f"{path}:1: expected header {','.join(PARTITION_HEADER)!r}, "
-                    f"got {header!r}")
-            for row in reader:
-                line_no = reader.line_num
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise PartitionFileError(
-                        f"{path}:{line_no}: expected 2 fields, got {len(row)}")
-                alias_id, author_id = row
-                if not alias_id or not author_id:
-                    raise PartitionFileError(f"{path}:{line_no}: empty field")
-                if alias_id in assignment:
-                    raise PartitionFileError(
-                        f"{path}:{line_no}: alias id {alias_id!r} assigned twice")
-                assignment[alias_id] = author_id
-    except UnicodeDecodeError:
-        raise PartitionFileError(
-            f"{path}:{_undecodable_line(path)}: not valid UTF-8") from None
+    for line_no, (alias_id, author_id) in _read_rows(path, PARTITION_HEADER,
+                                                     PartitionFileError):
+        if not alias_id or not author_id:
+            raise PartitionFileError(f"{path}:{line_no}: empty field")
+        if alias_id in assignment:
+            raise PartitionFileError(
+                f"{path}:{line_no}: alias id {alias_id!r} assigned twice")
+        assignment[alias_id] = author_id
     return Partition(assignment)

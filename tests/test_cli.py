@@ -58,9 +58,14 @@ def test_missing_input_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_bad_threshold_value_exits_2(capsys):
+def test_bad_threshold_value_exits_2(tmp_path, capsys):
     assert run_cli("disambiguate", FIXTURE_ALIASES, "--threshold", "1.5") == 2
-    capsys.readouterr()
+    prefix = str(tmp_path / "t")
+    for cutoff in ("nan", "-1", "7"):
+        assert run_cli("triage", FIXTURE_ALIASES, "--out-prefix", prefix,
+                       "--differ-cutoff", cutoff) == 2
+        assert "differ cutoff out of range" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_disambiguate_to_stdout(capsys):
@@ -205,13 +210,47 @@ def test_stop_words_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_threads_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DEALIAS_THREADS", "2")
-    part = tmp_path / "p.csv"
-    assert run_cli("disambiguate", FIXTURE_ALIASES, "-o", str(part)) == 0
-    monkeypatch.setenv("DEALIAS_THREADS", "not a number")
-    assert run_cli("disambiguate", FIXTURE_ALIASES, "-o", str(part)) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("command", ["disambiguate", "extract", "sweep"])
+def test_stdout_equals_output_file(command, tmp_path, capsysbinary):
+    log = tmp_path / "log.txt"
+    log.write_bytes('\ufeffJosé Ñúñez\tjn@x.org\r\n"Lee, Ann"\t李@y\n'
+                    .encode("utf-8"))
+    argv = {"disambiguate": [command, FIXTURE_ALIASES, "--threads", "0"],
+            "extract": [command, str(log)],
+            "sweep": [command, FIXTURE_ALIASES, FIXTURE_TRUTH, "--methods",
+                      "gambit,simple", "--thresholds", "0.9,0.95"]}[command]
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "-o", str(out)) == 0
+    capsysbinary.readouterr()
+    assert run_cli(*argv) == 0
+    written = capsysbinary.readouterr().out
+    if command == "sweep":  # but for wall_time_ms, the last column
+        written, expected = (b"\n".join(line.rsplit(b",", 1)[0]
+                                        for line in data.splitlines())
+                             for data in (written, out.read_bytes()))
+    else:
+        expected = out.read_bytes()
+    assert written == expected
+
+
+def test_extract_reads_stdin_as_it_reads_a_file(tmp_path):
+    # a byte-order mark, and a byte that is not UTF-8
+    log = tmp_path / "log.txt"
+    log.write_bytes(b"\xef\xbb\xbfAnn Lee\tann@x.org\nBob\tb\xe9@y\n")
+    dealias = [sys.executable, "-m", "dealias", "extract"]
+    subprocess.run(dealias + [str(log), "-o", str(tmp_path / "a.csv")],
+                   check=True, capture_output=True)
+    expected = (tmp_path / "a.csv").read_bytes()
+    assert expected == ("id,name,email\na0001,Ann Lee,ann@x.org\n"
+                        "a0002,Bob,b\ufffd@y\n").encode("utf-8")
+    piped = subprocess.run(dealias + ["-", "-o", str(tmp_path / "b.csv")],
+                           input=log.read_bytes(), capture_output=True)
+    assert piped.returncode == 0, piped.stderr
+    assert (tmp_path / "b.csv").read_bytes() == expected
+    piped = subprocess.run(dealias + ["-"], input=log.read_bytes(),
+                           capture_output=True)
+    assert piped.returncode == 0, piped.stderr
+    assert piped.stdout == expected
 
 
 def test_console_script_runs():

@@ -156,6 +156,15 @@ def test_triage_rejects_duplicate_ids():
         triage([a, b])
 
 
+def test_triage_rejects_cutoff_out_of_range():
+    # 0 and 1 themselves are allowed: test_triage_equals_reference runs them
+    aliases = [make_alias("a", "ann lee", "ann@x org"),
+               make_alias("b", "bob roe", "bob@y org")]
+    for cutoff in (float("nan"), -1.0, -1e-9, 1.0000001, 7.0):
+        with pytest.raises(ValueError, match="differ cutoff out of range"):
+            triage(aliases, differ_cutoff=cutoff)
+
+
 def _exact_similarities(aliases):
     """Every similarity a pair of the aliases has, on names and emails."""
     values = set()

@@ -65,6 +65,11 @@ def test_custom_stop_words(tmp_path):
     cfg = StopWordConfig.from_file(path)
     assert cfg.stop_words == frozenset({"foo", "bar"})
     assert clean_pair("foo bar baz jr", "", cfg)[0] == "baz jr"
+    # a byte-order mark is not part of the first word
+    path.write_bytes("\ufeffsmith\n".encode("utf-8"))
+    cfg = StopWordConfig.from_file(path)
+    assert cfg.stop_words == frozenset({"smith"})
+    assert clean_pair("John Smith", "", cfg)[0] == "john"
 
 
 def test_whitespace_collapsed():
