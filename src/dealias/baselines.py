@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from math import inf
+from typing import Callable
 
 from .normalize import Alias
 from .rules import DEFAULT_CONFIG, MatcherConfig, gated_similarity, needles
@@ -63,10 +64,19 @@ def bird_score(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> float
     similarities, and the email-base similarity. ``cfg.threshold`` is not
     used.
     """
-    if _contained(a, b, cfg.min_len):
-        return inf
     gs = gated_similarity(cfg)
-    return max(gs(a.name, b.name),
-               min(gs(a.first_name, b.first_name),
-                   gs(a.last_name, b.last_name)),
-               gs(a.email_base, b.email_base))
+    return bird_rule_score(a, b, cfg.min_len, gs, gs)
+
+
+def bird_rule_score(a: Alias, b: Alias, m: int,
+                    sim: Callable[[str, str], float],
+                    part_sim: Callable[[str, str], float]) -> float:
+    """:func:`bird_score` with the similarities already built, as in
+    :func:`rules.rule_scores`: ``sim`` for the full names and the email
+    bases, ``part_sim`` for the first and last names."""
+    if _contained(a, b, m):
+        return inf
+    return max(sim(a.name, b.name),
+               min(part_sim(a.first_name, b.first_name),
+                   part_sim(a.last_name, b.last_name)),
+               sim(a.email_base, b.email_base))

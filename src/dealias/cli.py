@@ -13,6 +13,7 @@ import argparse
 import sys
 import time
 import traceback
+from math import inf
 
 from .clustering import METHODS, disambiguate
 from .errors import DealiasError
@@ -46,8 +47,13 @@ def parse_thresholds(text: str) -> list[float]:
             raise ValueError(f"bad threshold range {text!r}; "
                              "expected start:stop:step")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ValueError("threshold step must be positive")
+        # checked before the loop, which an infinite stop would never end
+        for name, token, bound in zip(("start", "stop"), parts, (start, stop)):
+            if not 0.0 <= bound <= 1.0:
+                raise ValueError(f"threshold range {name} {token.strip()!r} "
+                                 "is outside [0, 1]")
+        if not 0.0 < step < inf:
+            raise ValueError("threshold step must be positive and finite")
         if stop < start:
             raise ValueError("threshold range is empty (stop < start)")
         values = []

@@ -11,14 +11,15 @@ import os
 from collections import defaultdict
 from math import inf
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
-from .baselines import bird_score, simple_match
+from .baselines import bird_rule_score, simple_match
 from .blocking import candidate_partners
 from .errors import (DuplicateAliasIdError, EmptyClusterError,
                      UniverseMismatchError)
 from .normalize import Alias
-from .rules import DEFAULT_CONFIG, MatcherConfig, score_pair, top_two_average
+from .rules import (DEFAULT_CONFIG, MatcherConfig, gated_similarity,
+                    rule_scores, top_two_average)
 
 METHODS = ("gambit", "simple", "bird")
 
@@ -124,20 +125,23 @@ class _DisjointSet:
         return Partition({ids[k]: ids[self.find(k)] for k in range(len(ids))})
 
 
-def _gambit_score(a: Alias, b: Alias, cfg: MatcherConfig) -> float:
-    return top_two_average(score_pair(a, b, cfg))
-
-
-def _simple_score(a: Alias, b: Alias, cfg: MatcherConfig) -> float:
-    return inf if simple_match(a, b, cfg) else -inf
-
-
-_PAIR_SCORES = {"gambit": _gambit_score, "simple": _simple_score,
-                "bird": bird_score}
+def _pair_scorer(method: str,
+                 cfg: MatcherConfig) -> Callable[[Alias, Alias], float]:
+    """:func:`pair_score` of ``method`` under ``cfg`` as a function of the
+    pair alone. It memoises the name-part similarities for as long as it
+    lives, so a scan builds one and drops it at the end."""
+    if method == "simple":
+        return lambda a, b: inf if simple_match(a, b, cfg) else -inf
+    m = cfg.min_len
+    sim, part_sim = gated_similarity(cfg), gated_similarity(cfg, memo=True)
+    if method == "gambit":
+        return lambda a, b: top_two_average(rule_scores(a, b, m, sim,
+                                                        part_sim))
+    return lambda a, b: bird_rule_score(a, b, m, sim, part_sim)
 
 
 def _check_method(method: str) -> None:
-    if method not in _PAIR_SCORES:
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -151,7 +155,7 @@ def pair_score(a: Alias, b: Alias, method: str = "gambit",
     otherwise. None of them uses ``cfg.threshold``.
     """
     _check_method(method)
-    return _PAIR_SCORES[method](a, b, cfg)
+    return _pair_scorer(method, cfg)(a, b)
 
 
 def _scan_rows(aliases: list[Alias], method: str, cfg: MatcherConfig,
@@ -159,14 +163,14 @@ def _scan_rows(aliases: list[Alias], method: str, cfg: MatcherConfig,
     """(score, i, j) for the pairs of the given rows that score at least
     ``cfg.threshold``, over row i's candidate ``partners`` (every later row
     when ``partners`` is None)."""
-    score = _PAIR_SCORES[method]
+    score = _pair_scorer(method, cfg)
     t = cfg.threshold
     n = len(aliases)
     found = []
     for i in rows:
         a = aliases[i]
         for j in range(i + 1, n) if partners is None else partners[i]:
-            s = score(a, aliases[j], cfg)
+            s = score(a, aliases[j])
             if s >= t:
                 found.append((s, i, j))
     return found

@@ -12,6 +12,7 @@ decision even at threshold 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .normalize import Alias
@@ -43,10 +44,18 @@ class MatcherConfig:
 DEFAULT_CONFIG = MatcherConfig()
 
 
-def gated_similarity(cfg: MatcherConfig) -> Callable[[str, str], float]:
+def gated_similarity(cfg: MatcherConfig,
+                     memo: bool = False) -> Callable[[str, str], float]:
     """``cfg.measure``'s similarity, 0 when either string is shorter than
-    ``cfg.min_len``."""
+    ``cfg.min_len``.
+
+    With ``memo`` the similarity behind the gate is memoised for as long as
+    the returned function lives. A scan builds one for the name parts,
+    which repeat across pairs because people share first and last names.
+    """
     sim = cfg.measure.function()
+    if memo:
+        sim = lru_cache(maxsize=1 << 18)(sim)
     m = cfg.min_len
 
     def gs(x: str, y: str) -> float:
@@ -104,25 +113,35 @@ def score_pair(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> tuple
     both legs must hold. Containment rules check both directions.
     """
     gs = gated_similarity(cfg)
-    m = cfg.min_len
+    return rule_scores(a, b, cfg.min_len, gs, gs)
+
+
+def rule_scores(a: Alias, b: Alias, m: int, sim: Callable[[str, str], float],
+                part_sim: Callable[[str, str], float]) -> tuple[float, ...]:
+    """The ten rule scores of :func:`score_pair`, with the similarities
+    already built: ``sim`` compares the full names and the email bases,
+    ``part_sim`` the first, last and penultimate names. Both are
+    ``gated_similarity`` functions of the same config, whose ``min_len`` is
+    ``m``.
+    """
     name_gate = len(a.name) >= m and len(b.name) >= m
     email_gate = len(a.email) >= m and len(b.email) >= m
 
-    r_name_sim = gs(a.name, b.name)
+    r_name_sim = sim(a.name, b.name)
     r_name_eq = 1.0 if name_gate and a.name == b.name else 0.0
 
-    r_straight = min(gs(a.first_name, b.first_name),
-                     max(gs(a.last_name, b.last_name),
-                         gs(a.last_name, b.penultimate_name),
-                         gs(a.penultimate_name, b.last_name)))
-    r_swap_b = min(gs(a.first_name, b.last_name),
-                   max(gs(a.penultimate_name, b.first_name),
-                       gs(a.last_name, b.penultimate_name),
-                       gs(a.last_name, b.first_name)))
-    r_swap_a = min(gs(a.last_name, b.first_name),
-                   max(gs(a.penultimate_name, b.last_name),
-                       gs(a.first_name, b.penultimate_name),
-                       gs(a.first_name, b.last_name)))
+    r_straight = min(part_sim(a.first_name, b.first_name),
+                     max(part_sim(a.last_name, b.last_name),
+                         part_sim(a.last_name, b.penultimate_name),
+                         part_sim(a.penultimate_name, b.last_name)))
+    r_swap_b = min(part_sim(a.first_name, b.last_name),
+                   max(part_sim(a.penultimate_name, b.first_name),
+                       part_sim(a.last_name, b.penultimate_name),
+                       part_sim(a.last_name, b.first_name)))
+    r_swap_a = min(part_sim(a.last_name, b.first_name),
+                   max(part_sim(a.penultimate_name, b.last_name),
+                       part_sim(a.first_name, b.penultimate_name),
+                       part_sim(a.first_name, b.last_name)))
 
     base_a, base_b = a.email_base, b.email_base
     a5, a6, a7 = needles(a, m)
@@ -137,7 +156,7 @@ def score_pair(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> tuple
                              or (b7 and b7[0] in base_a and b7[1] in base_a)
                              ) else 0.0
     r_email_eq = 2.0 if email_gate and a.email == b.email else 0.0
-    r_base_sim = gs(base_a, base_b)
+    r_base_sim = sim(base_a, base_b)
 
     return (r_name_sim, r_name_eq, r_straight, r_swap_b, r_swap_a,
             r_initial_last, r_first_initial, r_both_in_base, r_email_eq,

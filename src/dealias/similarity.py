@@ -148,11 +148,22 @@ class JaroBreakdown:
     jaro: float
 
 
-def jaro_breakdown(s1: str, s2: str) -> JaroBreakdown:
-    """Compute the Jaro similarity of two strings along with its parts."""
+def _jaro(s1: str, s2: str) -> tuple[int, int, int, float]:
+    """``(common, transpositions, prefix_len, jaro)`` of two strings, the
+    fields of :class:`JaroBreakdown`.
+
+    Each character of ``s1`` is matched to the first unmatched equal
+    character of ``s2`` inside the search window. The window's start never
+    moves back, so the positions of one character in ``s2`` are matched in
+    order: every such position before the last one matched is taken or lies
+    behind every later window. One cursor per character, just past its last
+    match, therefore finds the first unmatched one with a single
+    ``str.find``: one call per character of ``s1`` in place of a Python loop
+    over the window.
+    """
     len1, len2 = len(s1), len(s2)
     if len1 == 0 and len2 == 0:
-        return JaroBreakdown(0, 0, 0, 1.0)
+        return 0, 0, 0, 1.0
 
     prefix_len = 0
     for a, b in zip(s1[:4], s2[:4]):
@@ -164,43 +175,42 @@ def jaro_breakdown(s1: str, s2: str) -> JaroBreakdown:
     if window < 0:
         window = 0
 
-    matched1 = [False] * len1
-    matched2 = [False] * len2
-    common = 0
+    cursor: dict[str, int] = {}
+    matched1: list[str] = []   # s1's matched characters, in s1's order
+    positions: list[int] = []  # where in s2 they matched
     for i, ch in enumerate(s1):
         lo = i - window if i > window else 0
-        hi = i + window + 1
-        if hi > len2:
-            hi = len2
-        for j in range(lo, hi):
-            if not matched2[j] and s2[j] == ch:
-                matched1[i] = True
-                matched2[j] = True
-                common += 1
-                break
+        start = cursor.get(ch, 0)
+        j = s2.find(ch, start if start > lo else lo, i + window + 1)
+        if j >= 0:
+            cursor[ch] = j + 1
+            matched1.append(ch)
+            positions.append(j)
 
+    common = len(positions)
     if common == 0:
-        return JaroBreakdown(0, 0, prefix_len, 0.0)
+        return 0, 0, prefix_len, 0.0
 
     # Count matched characters that appear in a different order in s2;
     # every two of them constitute one transposition.
+    positions.sort()
     out_of_order = 0
-    k = 0
-    for i in range(len1):
-        if matched1[i]:
-            while not matched2[k]:
-                k += 1
-            if s1[i] != s2[k]:
-                out_of_order += 1
-            k += 1
+    for ch, j in zip(matched1, positions):
+        if ch != s2[j]:
+            out_of_order += 1
     transpositions = out_of_order // 2
 
     jaro = (common / len1 + common / len2 + (common - transpositions) / common) / 3.0
-    return JaroBreakdown(common, transpositions, prefix_len, jaro)
+    return common, transpositions, prefix_len, jaro
+
+
+def jaro_breakdown(s1: str, s2: str) -> JaroBreakdown:
+    """Compute the Jaro similarity of two strings along with its parts."""
+    return JaroBreakdown(*_jaro(s1, s2))
 
 
 def jaro_similarity(s1: str, s2: str) -> float:
-    return jaro_breakdown(s1, s2).jaro
+    return _jaro(s1, s2)[3]
 
 
 def jaro_winkler_similarity(s1: str, s2: str) -> float:
@@ -208,8 +218,8 @@ def jaro_winkler_similarity(s1: str, s2: str) -> float:
     character (at most four). The boost is applied unconditionally, not
     only above some base-similarity cutoff.
     """
-    b = jaro_breakdown(s1, s2)
-    return b.jaro + 0.1 * b.prefix_len * (1.0 - b.jaro)
+    _, _, prefix_len, jaro = _jaro(s1, s2)
+    return jaro + 0.1 * prefix_len * (1.0 - jaro)
 
 
 class Measure(enum.Enum):

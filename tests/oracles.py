@@ -1,9 +1,10 @@
 """Independent reference implementations used only to check the library.
 
 Deliberately written with different algorithms than the production code:
-full-matrix edit distance, explicit pair enumeration for evaluation,
-all-pairs reachability for the transitive closure, and plain double
-loops over the reference pair decisions for the match scan and triage.
+full-matrix edit distance, a double loop over the Jaro search window,
+explicit pair enumeration for evaluation, all-pairs reachability for the
+transitive closure, and plain double loops over the reference pair
+decisions for the match scan and triage.
 The containment predicates of rules 5-7 are kept as the matcher spelled
 them, one predicate per rule and direction, apart from ``rules.needles``.
 """
@@ -15,6 +16,7 @@ from itertools import combinations
 from dealias.baselines import bird_match, simple_match
 from dealias.normalize import Alias
 from dealias.rules import is_match, score_pair
+from dealias.similarity import JaroBreakdown
 
 
 def lev_distance_matrix(s1: str, s2: str) -> int:
@@ -41,6 +43,59 @@ def lev_similarity_matrix(s1: str, s2: str) -> float:
     if longer == 0:
         return 1.0
     return 1.0 - lev_distance_matrix(s1, s2) / longer
+
+
+# similarity.jaro_breakdown as it was before its linear-time kernel: the
+# O(len(s1) x window) double loop over the search window, word for word
+def jaro_breakdown_reference(s1: str, s2: str) -> JaroBreakdown:
+    """Compute the Jaro similarity of two strings along with its parts."""
+    len1, len2 = len(s1), len(s2)
+    if len1 == 0 and len2 == 0:
+        return JaroBreakdown(0, 0, 0, 1.0)
+
+    prefix_len = 0
+    for a, b in zip(s1[:4], s2[:4]):
+        if a != b:
+            break
+        prefix_len += 1
+
+    window = max(len1, len2) // 2 - 1
+    if window < 0:
+        window = 0
+
+    matched1 = [False] * len1
+    matched2 = [False] * len2
+    common = 0
+    for i, ch in enumerate(s1):
+        lo = i - window if i > window else 0
+        hi = i + window + 1
+        if hi > len2:
+            hi = len2
+        for j in range(lo, hi):
+            if not matched2[j] and s2[j] == ch:
+                matched1[i] = True
+                matched2[j] = True
+                common += 1
+                break
+
+    if common == 0:
+        return JaroBreakdown(0, 0, prefix_len, 0.0)
+
+    # Count matched characters that appear in a different order in s2;
+    # every two of them constitute one transposition.
+    out_of_order = 0
+    k = 0
+    for i in range(len1):
+        if matched1[i]:
+            while not matched2[k]:
+                k += 1
+            if s1[i] != s2[k]:
+                out_of_order += 1
+            k += 1
+    transpositions = out_of_order // 2
+
+    jaro = (common / len1 + common / len2 + (common - transpositions) / common) / 3.0
+    return JaroBreakdown(common, transpositions, prefix_len, jaro)
 
 
 def brute_force_counts(predicted: dict[str, str],

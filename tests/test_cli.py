@@ -1,5 +1,6 @@
 import csv
 import io
+import os
 import subprocess
 import sys
 import tempfile
@@ -39,6 +40,30 @@ def test_parse_thresholds_rejects_bad_specs():
         parse_thresholds("1.0:0.5:0.1")
     with pytest.raises(ValueError):
         parse_thresholds("0.5:1.0:0")
+    for step in ("inf", "nan"):
+        with pytest.raises(ValueError, match="step"):
+            parse_thresholds(f"0.5:1.0:{step}")
+
+
+def _limit_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("spec, bound", [("0.5:inf:0.1", "stop 'inf'"),
+                                         ("0:1e9:1", "stop '1e9'"),
+                                         ("nan:1:0.1", "start 'nan'")])
+def test_threshold_range_bounds_outside_0_1_exit_2(spec, bound):
+    # in a child with a time and a memory limit: a range that never ends
+    # grows a list without bound, and must fail here rather than hang the
+    # suite or take the machine's memory
+    proc = subprocess.run(
+        [sys.executable, "-m", "dealias", "sweep", FIXTURE_ALIASES,
+         FIXTURE_TRUTH, "--thresholds", spec, "-o", os.devnull],
+        capture_output=True, text=True, timeout=20,
+        preexec_fn=_limit_address_space if os.name == "posix" else None)
+    assert proc.returncode == 2, proc.stderr
+    assert f"threshold range {bound} is outside [0, 1]" in proc.stderr
 
 
 def test_usage_errors_exit_1(capsys):

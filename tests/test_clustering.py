@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from dealias import clustering
 from dealias.clustering import (METHODS, Partition, _DisjointSet,
                                 disambiguate, matched_pairs, merge_partitions,
-                                pair_score)
+                                pair_score, scored_pairs)
 from dealias.errors import (DealiasError, DuplicateAliasIdError,
                             EmptyClusterError, UniverseMismatchError)
 from dealias.rules import MatcherConfig
@@ -116,6 +116,36 @@ def test_scan_equals_oracle_for_one_and_two_workers(monkeypatch):
                                             workers=workers)
                         assert got == expected, (name, workers, method,
                                                  measure, t)
+
+
+def test_back_to_back_scans_share_no_memo(monkeypatch):
+    # each scan memoises name-part similarities; a memo keyed on the strings
+    # alone, one that holds the min_len gate, or one that outlives its scan
+    # would carry one scan's values into the next
+    monkeypatch.setattr(clustering, "_WORKERS_MIN_ALIASES", 2)
+    # first names under the default length gate: rule 2 carries these pairs
+    # at min_len 1 and scores 0 at min_len 3
+    aliases = mixed_corpus(seed=3, n=60) + [
+        make_alias("s1", "al smith", "asm@x.org"),
+        make_alias("s2", "al smyth", "qq@y.org"),
+        make_alias("s3", "jo brand", "jb@x.org"),
+        make_alias("s4", "jo brandt", "zz@y.org")]
+    lev, jw = Measure.LEVENSHTEIN, Measure.JARO_WINKLER
+    expected = {}
+    for workers in (1, 2):
+        for method in ("gambit", "bird"):
+            for first, second in [((lev, 3), (jw, 3)), ((jw, 3), (lev, 3)),
+                                  ((lev, 1), (lev, 3)), ((jw, 1), (jw, 3))]:
+                for measure, min_len in (first, second):
+                    cfg = MatcherConfig(threshold=0.75, measure=measure,
+                                        min_len=min_len)
+                    if (method, cfg) not in expected:
+                        expected[method, cfg] = all_pairs_matches(
+                            aliases, method, cfg)
+                    got = [(i, j) for _, i, j in
+                           scored_pairs(aliases, method, cfg, workers)]
+                    assert got == expected[method, cfg], (
+                        workers, method, measure, min_len)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,13 +1,13 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dealias.similarity import (JaroBreakdown, LevenshteinRows, Measure,
                                 jaro_breakdown, jaro_similarity,
                                 jaro_winkler_similarity, levenshtein_distance,
                                 levenshtein_similarity)
-from oracles import lev_distance_matrix
+from oracles import jaro_breakdown_reference, lev_distance_matrix
 
 words = st.text(alphabet="abcdefg @", max_size=16)
 
@@ -104,6 +104,33 @@ def test_jaro_winkler_boost_is_unconditional():
     assert b.jaro < 0.7
     expected = b.jaro + 0.1 * 2 * (1.0 - b.jaro)
     assert jaro_winkler_similarity("abcdefgh", "abzzzz") == expected
+
+
+# few letters force repeats and transpositions; the last alphabet mixes in
+# characters outside ASCII
+jaro_pairs = st.sampled_from(["ab", "abcd", "aé日b\U0001f600"]).flatmap(
+    lambda alphabet: st.tuples(st.text(alphabet, max_size=40),
+                               st.text(alphabet, max_size=40)))
+
+
+@settings(max_examples=800, deadline=None)
+@given(jaro_pairs)
+@example(("martha", "marhta"))
+@example(("dixon", "dicksonx"))
+@example(("ab", "ba"))
+@example(("a", ""))
+@example(("b", "ab" * 20))
+@example(("badcbadcbadcbadcbadcbadcbadcbadcbadcbadc", "dcab"))
+def test_jaro_equals_the_window_double_loop(pair):
+    # the linear-time kernel against the double loop it replaced: every
+    # field and the Jaro-Winkler value equal, not merely close, in both
+    # argument orders
+    for s1, s2 in (pair, pair[::-1]):
+        want = jaro_breakdown_reference(s1, s2)
+        assert jaro_breakdown(s1, s2) == want
+        assert jaro_similarity(s1, s2) == want.jaro
+        assert jaro_winkler_similarity(s1, s2) == (
+            want.jaro + 0.1 * want.prefix_len * (1.0 - want.jaro))
 
 
 def test_jaro_edge_cases():
