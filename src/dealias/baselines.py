@@ -44,15 +44,7 @@ def bird_match(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> bool:
     against ``cfg.threshold``, and the ``cfg.min_len`` gate applies to every
     comparison.
     """
-    gs = gated_similarity(cfg)
-    t = cfg.threshold
-    if gs(a.name, b.name) >= t:
-        return True
-    if min(gs(a.first_name, b.first_name), gs(a.last_name, b.last_name)) >= t:
-        return True
-    if _contained(a, b, cfg.min_len):
-        return True
-    return gs(a.email_base, b.email_base) >= t
+    return bird_score(a, b, cfg) >= cfg.threshold
 
 
 def bird_score(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> float:

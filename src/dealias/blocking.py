@@ -33,8 +33,9 @@ gambit rules they stand for, are
 * a substring join for the containment rules 5-7 (bird's containment
   conditions are the same three): every alias's ``(needle, rest)`` pairs
   from ``rules.needles`` are filed under the needle, each distinct email
-  base looks up its own substrings of the needle lengths, and a hit counts
-  when the rest occurs in the base too;
+  base looks up the substrings of the needle lengths inside each of its
+  words (a needle holds no whitespace), and a hit counts when the rest
+  occurs in the base too;
 * a Levenshtein join at tau on full names (rule 0; bird), on email bases
   (rule 9; bird), on first names (rule 2, whose first-name leg must reach
   tau; bird) and between first and last names (rules 3 and 4).
@@ -204,8 +205,9 @@ def _join_containment(found: _PairSet, aliases: list[Alias],
                 by_needle[pair[0]].append((i, rule, pair[1]))
     lengths = {len(needle) for needle in by_needle}
     for base, owners in bases.items():
-        substrings = {base[k:k + n] for n in lengths
-                      for k in range(len(base) - n + 1)}
+        # a needle holds no whitespace, so it lies inside one word
+        substrings = {word[k:k + n] for word in base.split() for n in lengths
+                      for k in range(len(word) - n + 1)}
         for needle in substrings & by_needle.keys():
             for i, rule, rest in by_needle[needle]:
                 if rest in base:

@@ -32,6 +32,9 @@ EXIT_INTERNAL = 3
 
 DEFAULT_METHOD = "gambit"
 
+# the most values a threshold range may hold: a 0.001 step over [0, 1]
+_MAX_THRESHOLDS = 1001
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
@@ -56,6 +59,10 @@ def parse_thresholds(text: str) -> list[float]:
             raise ValueError("threshold step must be positive and finite")
         if stop < start:
             raise ValueError("threshold range is empty (stop < start)")
+        # counted before the list is built, which a tiny step makes huge
+        if (stop + 1e-9 - start) / step >= _MAX_THRESHOLDS:
+            raise ValueError(f"threshold range {text!r} holds more than "
+                             f"{_MAX_THRESHOLDS} values; use a larger step")
         values = []
         k = 0
         while (v := start + k * step) <= stop + 1e-9:
@@ -202,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated subset of "
                         + ",".join(m.value for m in Measure))
     p.add_argument("--thresholds", default=str(DEFAULT_CONFIG.threshold),
-                   help="comma list '0.9,0.95' or range '0.5:1.0:0.05'")
+                   help="comma list '0.9,0.95' or inclusive range "
+                        "'0.5:1.0:0.05' of at most 1001 values")
     p.add_argument("--min-len", type=int, default=DEFAULT_CONFIG.min_len)
     _add_common_input_options(p)
     _add_run_options(p)

@@ -18,8 +18,8 @@ from .blocking import candidate_partners
 from .errors import (DuplicateAliasIdError, EmptyClusterError,
                      UniverseMismatchError)
 from .normalize import Alias
-from .rules import (DEFAULT_CONFIG, MatcherConfig, gated_similarity,
-                    rule_scores, top_two_average)
+from .rules import (DEFAULT_CONFIG, MatcherConfig, gambit_rule_score,
+                    gated_similarity)
 
 METHODS = ("gambit", "simple", "bird")
 
@@ -135,8 +135,7 @@ def _pair_scorer(method: str,
     m = cfg.min_len
     sim, part_sim = gated_similarity(cfg), gated_similarity(cfg, memo=True)
     if method == "gambit":
-        return lambda a, b: top_two_average(rule_scores(a, b, m, sim,
-                                                        part_sim))
+        return lambda a, b: gambit_rule_score(a, b, m, sim, part_sim)
     return lambda a, b: bird_rule_score(a, b, m, sim, part_sim)
 
 

@@ -107,6 +107,8 @@ _EMAIL_STRIP_RE = re.compile(r"[^A-Za-z\s@]+")
 def _to_ascii(text: str) -> str:
     """Transliterate to ASCII: strip accents via compatibility decomposition,
     spell out a few special letters, drop anything else non-ASCII."""
+    if text.isascii():
+        return text  # NFKD maps every ASCII string to itself
     out = []
     for ch in unicodedata.normalize("NFKD", text):
         if ch.isascii():

@@ -74,6 +74,9 @@ def needles(x: Alias, min_len: int) -> tuple[tuple[str, str] | None, ...]:
     One ``(needle, rest)`` pair per rule, in that order; the rule holds when
     both occur in the base. A pair is None when a string it looks for is
     shorter than ``min_len`` (so no base shorter than that can hold one).
+    A needle holds no whitespace, since the first and last names are
+    whitespace-separated tokens of the name; so it can only occur inside
+    one word of a base.
     """
     first, last = x.first_name, x.last_name
     if not (first and last):
@@ -124,25 +127,34 @@ def rule_scores(a: Alias, b: Alias, m: int, sim: Callable[[str, str], float],
     ``gated_similarity`` functions of the same config, whose ``min_len`` is
     ``m``.
     """
-    name_gate = len(a.name) >= m and len(b.name) >= m
-    email_gate = len(a.email) >= m and len(b.email) >= m
+    r1, r5, r6, r7, r8 = _exact_rules(a, b, m)
+    r0, r2, r3, r4, r9 = _graded_rules(a, b, sim, part_sim)
+    return r0, r1, r2, r3, r4, r5, r6, r7, r8, r9
 
-    r_name_sim = sim(a.name, b.name)
-    r_name_eq = 1.0 if name_gate and a.name == b.name else 0.0
 
-    r_straight = min(part_sim(a.first_name, b.first_name),
-                     max(part_sim(a.last_name, b.last_name),
-                         part_sim(a.last_name, b.penultimate_name),
-                         part_sim(a.penultimate_name, b.last_name)))
-    r_swap_b = min(part_sim(a.first_name, b.last_name),
-                   max(part_sim(a.penultimate_name, b.first_name),
-                       part_sim(a.last_name, b.penultimate_name),
-                       part_sim(a.last_name, b.first_name)))
-    r_swap_a = min(part_sim(a.last_name, b.first_name),
-                   max(part_sim(a.penultimate_name, b.last_name),
-                       part_sim(a.first_name, b.penultimate_name),
-                       part_sim(a.first_name, b.last_name)))
+def gambit_rule_score(a: Alias, b: Alias, m: int,
+                      sim: Callable[[str, str], float],
+                      part_sim: Callable[[str, str], float]) -> float:
+    """``top_two_average(rule_scores(a, b, m, sim, part_sim))``, computing
+    the graded rules only when they can change the top two.
 
+    Every graded rule scores at most 1, so once the second-largest exact
+    rule reaches 1 the top two are found among the exact rules. On commit
+    logs most merges are decided this way, by an identical email or by
+    names found inside an email base.
+    """
+    exact = _exact_rules(a, b, m)
+    # each exact rule scores 0 or at least 1: two nonzero ones are the top two
+    if exact.count(0.0) <= len(exact) - 2:
+        return top_two_average(exact)
+    return top_two_average(exact + _graded_rules(a, b, sim, part_sim))
+
+
+def _exact_rules(a: Alias, b: Alias, m: int) -> tuple[float, ...]:
+    """Rules 1, 5, 6, 7 and 8, in that order: equality and containment,
+    each 0 or its weight."""
+    r_name_eq = (1.0 if len(a.name) >= m and len(b.name) >= m
+                 and a.name == b.name else 0.0)
     base_a, base_b = a.email_base, b.email_base
     a5, a6, a7 = needles(a, m)
     b5, b6, b7 = needles(b, m)
@@ -155,12 +167,31 @@ def rule_scores(a: Alias, b: Alias, m: int, sim: Callable[[str, str], float],
     r_both_in_base = 2.0 if ((a7 and a7[0] in base_b and a7[1] in base_b)
                              or (b7 and b7[0] in base_a and b7[1] in base_a)
                              ) else 0.0
-    r_email_eq = 2.0 if email_gate and a.email == b.email else 0.0
-    r_base_sim = sim(base_a, base_b)
+    r_email_eq = (2.0 if len(a.email) >= m and len(b.email) >= m
+                  and a.email == b.email else 0.0)
+    return (r_name_eq, r_initial_last, r_first_initial, r_both_in_base,
+            r_email_eq)
 
-    return (r_name_sim, r_name_eq, r_straight, r_swap_b, r_swap_a,
-            r_initial_last, r_first_initial, r_both_in_base, r_email_eq,
-            r_base_sim)
+
+def _graded_rules(a: Alias, b: Alias, sim: Callable[[str, str], float],
+                  part_sim: Callable[[str, str], float]) -> tuple[float, ...]:
+    """Rules 0, 2, 3, 4 and 9, in that order: similarities, each in
+    [0, 1]."""
+    r_name_sim = sim(a.name, b.name)
+    r_straight = min(part_sim(a.first_name, b.first_name),
+                     max(part_sim(a.last_name, b.last_name),
+                         part_sim(a.last_name, b.penultimate_name),
+                         part_sim(a.penultimate_name, b.last_name)))
+    r_swap_b = min(part_sim(a.first_name, b.last_name),
+                   max(part_sim(a.penultimate_name, b.first_name),
+                       part_sim(a.last_name, b.penultimate_name),
+                       part_sim(a.last_name, b.first_name)))
+    r_swap_a = min(part_sim(a.last_name, b.first_name),
+                   max(part_sim(a.penultimate_name, b.last_name),
+                       part_sim(a.first_name, b.penultimate_name),
+                       part_sim(a.first_name, b.last_name)))
+    r_base_sim = sim(a.email_base, b.email_base)
+    return r_name_sim, r_straight, r_swap_b, r_swap_a, r_base_sim
 
 
 def top_two_average(scores: Sequence[float]) -> float:

@@ -4,7 +4,8 @@ Deliberately written with different algorithms than the production code:
 full-matrix edit distance, a double loop over the Jaro search window,
 explicit pair enumeration for evaluation, all-pairs reachability for the
 transitive closure, and plain double loops over the reference pair
-decisions for the match scan and triage.
+decisions for the match scan and triage. Bird's reference decision is its
+condition-by-condition form, not a threshold on its pair score.
 The containment predicates of rules 5-7 are kept as the matcher spelled
 them, one predicate per rule and direction, apart from ``rules.needles``.
 """
@@ -13,9 +14,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from dealias.baselines import bird_match, simple_match
+from dealias.baselines import _contained, simple_match
 from dealias.normalize import Alias
-from dealias.rules import is_match, score_pair
+from dealias.rules import gated_similarity, is_match, score_pair
 from dealias.similarity import JaroBreakdown
 
 
@@ -176,6 +177,20 @@ def containment_reference(a: Alias, b: Alias, min_len: int) -> set[int]:
             if holds(a, b, min_len) or holds(b, a, min_len)}
 
 
+# baselines.bird_match as it was before it became a threshold on
+# baselines.bird_score: one early return per condition, word for word
+def bird_match_reference(a, b, cfg) -> bool:
+    gs = gated_similarity(cfg)
+    t = cfg.threshold
+    if gs(a.name, b.name) >= t:
+        return True
+    if min(gs(a.first_name, b.first_name), gs(a.last_name, b.last_name)) >= t:
+        return True
+    if _contained(a, b, cfg.min_len):
+        return True
+    return gs(a.email_base, b.email_base) >= t
+
+
 def reference_match(a, b, method, cfg) -> bool:
     """The reference decision of ``method`` on one pair."""
     if method == "gambit":
@@ -183,7 +198,7 @@ def reference_match(a, b, method, cfg) -> bool:
     if method == "simple":
         return simple_match(a, b, cfg)
     if method == "bird":
-        return bird_match(a, b, cfg)
+        return bird_match_reference(a, b, cfg)
     raise ValueError(f"unknown method {method!r}")
 
 

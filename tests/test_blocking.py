@@ -100,3 +100,26 @@ def test_containment_join_equals_brute_force(rows, min_len):
         expected = sum(1 << rule for rule in containment_reference(
             aliases[i], aliases[j], min_len))
         assert found._later[i].get(j, 0) == expected, (i, j)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(
+           st.lists(st.text("ab", min_size=1, max_size=4),
+                    max_size=3).map(" ".join),
+           st.lists(st.text("ab", min_size=1, max_size=5),
+                    max_size=3).map(" ".join)), max_size=10),
+       st.integers(1, 4))
+# rule 7 with the last name in one word of the base and the first in another
+@example([("ab ba", "x"), ("x y", "bab aab")], 2)
+def test_containment_join_finds_needles_in_every_base_word(rows, min_len):
+    # the join looks needles up word by word; the rest may lie in any word
+    aliases = [make_alias(str(k), name, base + "@x")
+               for k, (name, base) in enumerate(rows)]
+    found = _PairSet(len(aliases))
+    _join_containment(found, aliases,
+                      _owners([a.email_base for a in aliases], min_len),
+                      min_len)
+    for i, j in combinations(range(len(aliases)), 2):
+        expected = sum(1 << rule for rule in containment_reference(
+            aliases[i], aliases[j], min_len))
+        assert found._later[i].get(j, 0) == expected, (i, j)

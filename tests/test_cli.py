@@ -66,6 +66,25 @@ def test_threshold_range_bounds_outside_0_1_exit_2(spec, bound):
     assert f"threshold range {bound} is outside [0, 1]" in proc.stderr
 
 
+def test_threshold_range_of_too_many_values_exits_2():
+    # 10^12 values: counted before any is built, in a child with a time and
+    # a memory limit like the bounds above
+    proc = subprocess.run(
+        [sys.executable, "-m", "dealias", "sweep", FIXTURE_ALIASES,
+         FIXTURE_TRUTH, "--thresholds", "0:1:1e-12", "-o", os.devnull],
+        capture_output=True, text=True, timeout=20,
+        preexec_fn=_limit_address_space if os.name == "posix" else None)
+    assert proc.returncode == 2, proc.stderr
+    assert "holds more than 1001 values" in proc.stderr
+
+
+def test_parse_thresholds_takes_a_range_of_1001_values():
+    values = parse_thresholds("0:1:0.001")
+    assert len(values) == 1001 and values[0] == 0.0 and values[-1] == 1.0
+    with pytest.raises(ValueError, match="more than 1001"):
+        parse_thresholds("0:1:0.000999")
+
+
 def test_usage_errors_exit_1(capsys):
     assert run_cli() == 1
     assert run_cli("disambiguate") == 1

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,7 +10,7 @@ from dealias.clustering import (METHODS, Partition, _DisjointSet,
                                 pair_score, scored_pairs)
 from dealias.errors import (DealiasError, DuplicateAliasIdError,
                             EmptyClusterError, UniverseMismatchError)
-from dealias.rules import MatcherConfig
+from dealias.rules import MatcherConfig, score_pair, top_two_average
 from dealias.similarity import Measure
 from oracles import all_pairs_matches, closure_components, reference_match
 from synth import alias_lists, make_alias, mixed_corpus, random_corpus
@@ -206,6 +206,26 @@ def test_pair_score_reaches_threshold_exactly_when_reference_matches(
                                 min_len=min_len)
             assert (score >= cut) == reference_match(a, b, method, cfg), (
                 a, b, method, measure, cut, score)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alias_lists(max_size=6), st.sampled_from(list(Measure)),
+       st.integers(1, 4))
+# identical emails and names inside the other base: the exact rules alone
+# fix the top two (2 and 2)
+@example([make_alias("a", "abc abcd", "abcabcd@x"),
+          make_alias("b", "abc abcd", "abcabcd@x")], Measure.LEVENSHTEIN, 3)
+# one exact rule of weight 2 and graded rules up to 1 (1.5)
+@example([make_alias("a", "abcd abcd", "dcba@x"),
+          make_alias("b", "abcd abcc", "dcba@x")], Measure.JARO_WINKLER, 3)
+def test_gambit_pair_score_is_the_top_two_average_of_the_rules(
+        aliases, measure, min_len):
+    # the scan's gambit score skips the graded rules when the exact ones
+    # fix the top two; it must still be the very same float
+    cfg = MatcherConfig(measure=measure, min_len=min_len)
+    for a, b in permutations(aliases, 2):
+        assert (pair_score(a, b, "gambit", cfg)
+                == top_two_average(score_pair(a, b, cfg))), (a, b)
 
 
 def test_workers_do_not_change_result():

@@ -1,9 +1,10 @@
 import re
+import unicodedata
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dealias.normalize import (Alias, RawAlias, StopWordConfig,
+from dealias.normalize import (Alias, RawAlias, StopWordConfig, _to_ascii,
                                extract_entities, prepare_alias,
                                prepare_aliases, preprocess)
 
@@ -84,6 +85,12 @@ def test_pipeline_idempotent(name, email):
     n1, e1 = clean_pair(name, email)
     n2, e2 = clean_pair(n1, e1)
     assert (n1, e1) == (n2, e2)
+
+
+@given(st.text(st.characters(max_codepoint=127), max_size=30))
+def test_ascii_text_is_its_own_transliteration(text):
+    # the transliteration returns ASCII text as it is, without decomposing
+    assert _to_ascii(text) == text == unicodedata.normalize("NFKD", text)
 
 
 @given(raw_text, raw_text)

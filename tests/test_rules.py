@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import inf
 
 import pytest
@@ -5,11 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from dealias import RawAlias, disambiguate, prepare_aliases
 from dealias.baselines import bird_match, bird_score
-from dealias.rules import (MatcherConfig, is_match, score_pair,
+from dealias.rules import (MatcherConfig, is_match, needles, score_pair,
                            top_two_average)
 from dealias.similarity import Measure
 from oracles import containment_reference
-from synth import make_alias, random_alias
+from synth import alias_lists, make_alias, random_alias
 import random
 
 CFG = MatcherConfig()  # threshold 0.95, levenshtein, min_len 3
@@ -235,3 +236,33 @@ def test_containment_rules_equal_the_oracle(a, b, min_len):
         assert (bird_score(x, y, cfg) == inf) == bool(expected)
         if expected:
             assert bird_match(x, y, cfg)
+
+
+# rules 0, 2, 3, 4 and 9: similarities
+_GRADED = (0, 2, 3, 4, 9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alias_lists(max_size=6), st.sampled_from(list(Measure)),
+       st.integers(1, 4))
+# a shared four-letter prefix gives Jaro-Winkler its largest boost
+@example([make_alias("a", "abcda abcdb", "abcdab@x"),
+          make_alias("b", "abcdb abcda", "abcdba@x")],
+         Measure.JARO_WINKLER, 1)
+def test_graded_rules_score_at_most_one(aliases, measure, min_len):
+    # the scan skips the graded rules once two exact rules reach 1, which
+    # is exact only because no graded rule can outscore them
+    cfg = MatcherConfig(measure=measure, min_len=min_len)
+    for a, b in combinations(aliases, 2):
+        s = score_pair(a, b, cfg)
+        assert all(0.0 <= s[k] <= 1.0 for k in _GRADED), (a, b, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alias_lists(max_size=10), st.integers(1, 4))
+def test_needles_hold_no_whitespace(aliases, min_len):
+    # the containment join looks needles up inside the words of a base
+    for a in aliases:
+        for pair in needles(a, min_len):
+            if pair:
+                assert not any(c.isspace() for c in pair[0]), (a, pair)
