@@ -6,7 +6,7 @@ from math import inf
 from typing import Callable
 
 from .normalize import Alias
-from .rules import DEFAULT_CONFIG, MatcherConfig, gated_similarity, needles
+from .rules import DEFAULT_CONFIG, MatcherConfig, exact_rules, gated_similarity
 
 
 def simple_match(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> bool:
@@ -19,19 +19,6 @@ def simple_match(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> boo
     if len(a.name) >= m and a.name == b.name:
         return True
     return len(a.email_base) >= m and a.email_base == b.email_base
-
-
-def _contained(a: Alias, b: Alias, min_len: int) -> bool:
-    # a rule-5, 6 or 7 pair of either alias holds in the other's email base
-    base = b.email_base
-    for pair in needles(a, min_len):
-        if pair and pair[0] in base and pair[1] in base:
-            return True
-    base = a.email_base
-    for pair in needles(b, min_len):
-        if pair and pair[0] in base and pair[1] in base:
-            return True
-    return False
 
 
 def bird_match(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> bool:
@@ -64,9 +51,11 @@ def bird_rule_score(a: Alias, b: Alias, m: int,
                     sim: Callable[[str, str], float],
                     part_sim: Callable[[str, str], float]) -> float:
     """:func:`bird_score` with the similarities already built, as in
-    :func:`rules.rule_scores`: ``sim`` for the full names and the email
-    bases, ``part_sim`` for the first and last names."""
-    if _contained(a, b, m):
+    :func:`rules.gambit_rule_score`: ``sim`` for the full names and the
+    email bases, ``part_sim`` for the first and last names. The containment
+    conditions are gambit's rules 5-7."""
+    _, r5, r6, r7, _ = exact_rules(a, b, m)
+    if r5 or r6 or r7:
         return inf
     return max(sim(a.name, b.name),
                min(part_sim(a.first_name, b.first_name),

@@ -11,7 +11,7 @@ import os
 from collections import defaultdict
 from math import inf
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 from .baselines import bird_rule_score, simple_match
 from .blocking import candidate_partners
@@ -36,8 +36,8 @@ class Partition:
     originally.
     """
 
-    def __init__(self, assignment: Mapping[str, str]):
-        groups: dict[str, list[str]] = defaultdict(list)
+    def __init__(self, assignment: Mapping[str, Hashable]):
+        groups: dict[Hashable, list[str]] = defaultdict(list)
         for alias_id, author_id in assignment.items():
             groups[author_id].append(alias_id)
         self._assignment: dict[str, str] = {}
@@ -48,20 +48,25 @@ class Partition:
 
     @classmethod
     def from_clusters(cls, clusters: Iterable[Iterable[str]]) -> "Partition":
-        assignment = {}
+        position_of: dict[str, int] = {}
         for position, members in enumerate(clusters):
             members = list(members)
             if not members:
                 raise EmptyClusterError(
                     f"cluster at position {position} (counting from 0) "
                     f"has no members")
-            label = min(members)
             for alias_id in members:
-                if alias_id in assignment:
+                if alias_id in position_of:
+                    first = position_of[alias_id]
+                    where = (f"twice in the cluster at position {position}"
+                             if first == position else
+                             f"in the clusters at positions {first} and "
+                             f"{position}")
                     raise DuplicateAliasIdError(
-                        f"alias id {alias_id!r} appears in more than one cluster")
-                assignment[alias_id] = label
-        return cls(assignment)
+                        f"alias id {alias_id!r} appears {where} "
+                        f"(counting from 0)")
+                position_of[alias_id] = position
+        return cls(position_of)
 
     @property
     def assignment(self) -> dict[str, str]:
@@ -119,6 +124,14 @@ class _DisjointSet:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
+
+    def union_equal(self, keys: Iterable[Hashable]) -> None:
+        """Join element k to the first element whose key equals the k-th
+        of ``keys``; a None key joins nothing."""
+        first: dict[Hashable, int] = {}
+        for k, key in enumerate(keys):
+            if key is not None:
+                self.union(first.setdefault(key, k), k)
 
     def partition(self, ids: list[str]) -> Partition:
         """Element k is alias ``ids[k]``; one author per component."""
@@ -272,11 +285,7 @@ def merge_partitions(p1: Partition, p2: Partition) -> Partition:
             f"partitions cover different alias ids "
             f"({len(p1)} vs {len(p2)} aliases)")
     ids = sorted(p1.universe())
-    index = {alias_id: k for k, alias_id in enumerate(ids)}
     dsu = _DisjointSet(len(ids))
     for part in (p1, p2):
-        for members in part.clusters().values():
-            first = index[members[0]]
-            for other in members[1:]:
-                dsu.union(first, index[other])
+        dsu.union_equal(map(part.author_of, ids))
     return dsu.partition(ids)

@@ -238,25 +238,13 @@ def triage(aliases: list[Alias], differ_cutoff: float = 0.5) -> TriageResult:
     _alias_ids(aliases)
     aliases = sorted(aliases, key=lambda a: a.id)
     n = len(aliases)
-    dsu = _DisjointSet(n)
-    by_name: dict[str, int] = {}
-    by_email: dict[str, int] = {}
-    for k, alias in enumerate(aliases):
-        if alias.name:
-            if alias.name in by_name:
-                dsu.union(by_name[alias.name], k)
-            else:
-                by_name[alias.name] = k
-        if alias.email:
-            if alias.email in by_email:
-                dsu.union(by_email[alias.email], k)
-            else:
-                by_email[alias.email] = k
-
-    roots = [dsu.find(k) for k in range(n)]
     ids = [a.id for a in aliases]
     names = [a.name for a in aliases]
     emails = [a.email for a in aliases]
+    dsu = _DisjointSet(n)
+    for keys in (names, emails):
+        dsu.union_equal(key or None for key in keys)
+    roots = [dsu.find(k) for k in range(n)]
     name_rows = LevenshteinRows(names)
     email_rows = LevenshteinRows(emails)
     auto_match = []

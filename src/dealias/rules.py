@@ -116,43 +116,36 @@ def score_pair(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> tuple
     both legs must hold. Containment rules check both directions.
     """
     gs = gated_similarity(cfg)
-    return rule_scores(a, b, cfg.min_len, gs, gs)
-
-
-def rule_scores(a: Alias, b: Alias, m: int, sim: Callable[[str, str], float],
-                part_sim: Callable[[str, str], float]) -> tuple[float, ...]:
-    """The ten rule scores of :func:`score_pair`, with the similarities
-    already built: ``sim`` compares the full names and the email bases,
-    ``part_sim`` the first, last and penultimate names. Both are
-    ``gated_similarity`` functions of the same config, whose ``min_len`` is
-    ``m``.
-    """
-    r1, r5, r6, r7, r8 = _exact_rules(a, b, m)
-    r0, r2, r3, r4, r9 = _graded_rules(a, b, sim, part_sim)
+    r1, r5, r6, r7, r8 = exact_rules(a, b, cfg.min_len)
+    r0, r2, r3, r4, r9 = _graded_rules(a, b, gs, gs)
     return r0, r1, r2, r3, r4, r5, r6, r7, r8, r9
 
 
 def gambit_rule_score(a: Alias, b: Alias, m: int,
                       sim: Callable[[str, str], float],
                       part_sim: Callable[[str, str], float]) -> float:
-    """``top_two_average(rule_scores(a, b, m, sim, part_sim))``, computing
-    the graded rules only when they can change the top two.
+    """``top_two_average(score_pair(a, b, cfg))``, computing the graded
+    rules only when they can change the top two. ``sim`` compares the full
+    names and the email bases, ``part_sim`` the first, last and penultimate
+    names; both are ``gated_similarity`` functions of ``cfg``, and ``m``
+    is its ``min_len``.
 
     Every graded rule scores at most 1, so once the second-largest exact
     rule reaches 1 the top two are found among the exact rules. On commit
     logs most merges are decided this way, by an identical email or by
     names found inside an email base.
     """
-    exact = _exact_rules(a, b, m)
+    exact = exact_rules(a, b, m)
     # each exact rule scores 0 or at least 1: two nonzero ones are the top two
     if exact.count(0.0) <= len(exact) - 2:
         return top_two_average(exact)
     return top_two_average(exact + _graded_rules(a, b, sim, part_sim))
 
 
-def _exact_rules(a: Alias, b: Alias, m: int) -> tuple[float, ...]:
-    """Rules 1, 5, 6, 7 and 8, in that order: equality and containment,
-    each 0 or its weight."""
+def exact_rules(a: Alias, b: Alias, m: int) -> tuple[float, ...]:
+    """Rules 1, 5, 6, 7 and 8 of :func:`score_pair`, in that order:
+    equality and containment, each 0 or its weight, with ``m`` the
+    ``min_len`` gate. Bird's containment conditions are rules 5-7."""
     r_name_eq = (1.0 if len(a.name) >= m and len(b.name) >= m
                  and a.name == b.name else 0.0)
     base_a, base_b = a.email_base, b.email_base

@@ -7,14 +7,16 @@ transitive closure, and plain double loops over the reference pair
 decisions for the match scan and triage. Bird's reference decision is its
 condition-by-condition form, not a threshold on its pair score.
 The containment predicates of rules 5-7 are kept as the matcher spelled
-them, one predicate per rule and direction, apart from ``rules.needles``.
+them, one predicate per rule and direction, apart from ``rules.needles``
+and ``rules.exact_rules``: the containment tests and bird's reference
+decision use them.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from dealias.baselines import _contained, simple_match
+from dealias.baselines import simple_match
 from dealias.normalize import Alias
 from dealias.rules import gated_similarity, is_match, score_pair
 from dealias.similarity import JaroBreakdown
@@ -178,7 +180,8 @@ def containment_reference(a: Alias, b: Alias, min_len: int) -> set[int]:
 
 
 # baselines.bird_match as it was before it became a threshold on
-# baselines.bird_score: one early return per condition, word for word
+# baselines.bird_score: one early return per condition, with containment
+# tested by this module's own predicates
 def bird_match_reference(a, b, cfg) -> bool:
     gs = gated_similarity(cfg)
     t = cfg.threshold
@@ -186,7 +189,7 @@ def bird_match_reference(a, b, cfg) -> bool:
         return True
     if min(gs(a.first_name, b.first_name), gs(a.last_name, b.last_name)) >= t:
         return True
-    if _contained(a, b, cfg.min_len):
+    if containment_reference(a, b, cfg.min_len):
         return True
     return gs(a.email_base, b.email_base) >= t
 

@@ -37,8 +37,14 @@ def test_partition_equality_ignores_input_labels():
 def test_partition_from_clusters():
     p = Partition.from_clusters([["b", "a"], ["c"]])
     assert p.clusters() == {"a": ["a", "b"], "c": ["c"]}
-    with pytest.raises(DuplicateAliasIdError):
-        Partition.from_clusters([["a", "b"], ["b"]])
+    with pytest.raises(DuplicateAliasIdError,
+                       match=r"'b' appears in the clusters at positions 0 "
+                             r"and 2 \(counting from 0\)$"):
+        Partition.from_clusters([["a", "b"], ["c"], ["b"]])
+    with pytest.raises(DuplicateAliasIdError,
+                       match=r"'a' appears twice in the cluster at position 1 "
+                             r"\(counting from 0\)$"):
+        Partition.from_clusters([["b"], ["a", "a"]])
 
 
 def test_partition_from_clusters_rejects_empty_cluster():
@@ -93,7 +99,7 @@ def test_disambiguate_empty_and_single():
     assert p.assignment == {"only": "only"}
 
 
-def test_matched_pairs_rejects_unknown_method_and_engine():
+def test_matched_pairs_rejects_unknown_method():
     aliases = [make_alias("a", "x y", ""), make_alias("b", "x y", "")]
     with pytest.raises(ValueError):
         matched_pairs(aliases, "fancy")
@@ -299,5 +305,25 @@ def test_merge_partitions():
         merge_partitions(p1, Partition({"a": "1"}))
 
 
-def test_engines_tuple_stable():
+_two_labellings = st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from("abc"), min_size=n, max_size=n),
+    st.lists(st.sampled_from("xy"), min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_two_labellings)
+def test_merge_partitions_equals_closure_of_same_label_links(labellings):
+    labels1, labels2 = labellings
+    # "" is a valid id, and the smallest: it names every cluster it is in
+    ids = [str(k) if k else "" for k in range(len(labels1))]
+    p1 = Partition(dict(zip(ids, labels1)))
+    p2 = Partition(dict(zip(ids, labels2)))
+    links = [(i, j) for i, j in combinations(range(len(ids)), 2)
+             if labels1[i] == labels1[j] or labels2[i] == labels2[j]]
+    component = closure_components(len(ids), links)
+    expected = Partition({ids[k]: component[k] for k in range(len(ids))})
+    assert merge_partitions(p1, p2) == expected
+
+
+def test_methods_tuple_stable():
     assert METHODS == ("gambit", "simple", "bird")

@@ -95,6 +95,8 @@ def test_one_token_name_fires_rule_7_on_one_substring():
     cfg = MatcherConfig(threshold=1.0)
     assert is_match(s, cfg)
     assert disambiguate([ann, joanne], cfg=cfg).author_count() == 1
+    # bird's containment conditions are rules 5-7, so bird merges them too
+    assert bird_score(ann, joanne, cfg) == inf
 
 
 def test_identical_email_weighs_two():
