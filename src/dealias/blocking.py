@@ -50,18 +50,17 @@ The Levenshtein join is a partition join (Li, Deng, Wang and Feng,
 "Pass-Join: A Partition-based Method for Similarity Joins", PVLDB 2011).
 The keys are taken shortest first. Each probes the index of the keys before
 it, which are no longer than itself, and is then filed in it, so every
-pair of keys is confirmed once. The budgets come from the rules' own float
-test, ``1.0 - d / n >= tau`` for d edits and a longer string of length n,
-and never from ``floor((1 - tau) * n)``, which can round one edit short (at
-tau = 0.9 and n = 10 it is ``floor(0.9999999999999998)`` = 0, while a
-one-edit pair scores exactly 0.9):
+pair of keys is confirmed once. Every budget is an edit count from
+``similarity.edit_budget``, which turns the rules' own float test into the
+most edits that pass it, so a pair at exactly tau is never lost to
+rounding:
 
-* a probing key of length n may be d <= D(n) edits away from a partner,
-  D(n) being the largest d that passes the test, so it probes only the
-  indexed lengths n - D(n) .. n;
+* a probing key of length n may be d <= D(n) = ``edit_budget(n, tau)``
+  edits away from a partner, so it probes only the indexed lengths
+  n - D(n) .. n;
 * a filed key of length l has no longer-or-equal partner more than E(l)
-  edits away, E(l) being the largest d with ``1.0 - d / (l + d) >= tau``
-  (a partner is at most l + d long), so it is cut into E(l) + 1 even
+  edits away, E(l) being the largest d with d <= ``edit_budget(l + d,
+  tau)`` (a partner is at most l + d long), so it is cut into E(l) + 1 even
   segments and filed under each (length, segment number, segment).
 
 Pigeonhole: d <= E(l) edits touch at most d of the E(l) + 1 segments, so
@@ -71,9 +70,9 @@ with at least |shift| edits before it and |delta - shift| after it, delta
 = n - l being the difference in length. So |shift| + |delta - shift| <= d
 <= D(n), which is the window ceil((delta - D(n)) / 2) <= shift <=
 floor((delta + D(n)) / 2), and the probe looks up its substrings at those
-starts only. Every hit is confirmed with the same similarity function the
-rules use, so the join yields exactly the pairs whose similarity reaches
-tau.
+starts only. Every hit u is confirmed by ``levenshtein_distance(s, u) <=
+D(n)``, the rules' similarity test, as the probing key s is the longer;
+so the join yields exactly the pairs whose similarity reaches tau.
 
 All cutoffs are lowered by a small slack so that float rounding in the
 rules' arithmetic can only add candidates, never drop a match.
@@ -92,7 +91,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .normalize import Alias
 from .rules import MatcherConfig, needles
-from .similarity import Measure, levenshtein_similarity
+from .similarity import Measure, edit_budget, levenshtein_distance
 
 # how far below tau the join cuts, to absorb float rounding in the rules
 _FLOAT_SLACK = 1e-9
@@ -229,7 +228,7 @@ def _similar_keys(keys: Iterable[str],
     for s in sorted(keys, key=len):
         yield s, s
         n = len(s)
-        budget = _edit_budget(n, tau)
+        budget = edit_budget(n, tau)
         near: set[str] = set()
         for length in range(n - budget, n + 1):
             delta = n - length
@@ -240,7 +239,7 @@ def _similar_keys(keys: Iterable[str],
                                 min(start + high, n - width) + 1):
                     near.update(filed.get(s[at:at + width], ()))
         for u in near:
-            if levenshtein_similarity(s, u) >= tau:
+            if levenshtein_distance(s, u) <= budget:
                 yield s, u
         if n not in index:
             parts = _max_edits_to_longer(n, tau) + 1
@@ -250,20 +249,11 @@ def _similar_keys(keys: Iterable[str],
             filed.setdefault(s[start:end], []).append(s)
 
 
-def _edit_budget(n: int, tau: float) -> int:
-    """The most edits d a pair whose longer key has length n can take and
-    keep ``levenshtein_similarity`` at tau or above."""
-    d = 0
-    while d < n and 1.0 - (d + 1) / n >= tau:
-        d += 1
-    return d
-
-
 def _max_edits_to_longer(length: int, tau: float) -> int:
     """The most edits d a key of ``length`` can be from a partner at least
     as long with similarity >= tau: a partner is at most length + d long,
     and the longer it is, the higher the similarity of d edits."""
     d = 0
-    while 1.0 - (d + 1) / (length + d + 1) >= tau:
+    while edit_budget(length + d + 1, tau) > d:
         d += 1
     return d

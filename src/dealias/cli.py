@@ -159,9 +159,6 @@ def _add_matcher_options(p):
     p.add_argument("--threshold", type=float, default=None,
                    help="match decision threshold "
                         f"(default {DEFAULT_CONFIG.threshold})")
-    p.add_argument("--min-len", type=int, default=DEFAULT_CONFIG.min_len,
-                   help="strings shorter than this never match "
-                        f"(default {DEFAULT_CONFIG.min_len})")
 
 
 def _add_common_input_options(p):
@@ -181,8 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Resolve author aliases (name/email pairs) "
                                  "to unique identities.")
     sub = parser.add_subparsers(dest="command", required=True)
+    min_len = argparse.ArgumentParser(add_help=False)
+    min_len.add_argument("--min-len", type=int, default=DEFAULT_CONFIG.min_len,
+                         help="strings shorter than this never match "
+                              f"(default {DEFAULT_CONFIG.min_len})")
 
-    p = sub.add_parser("disambiguate", parents=[],
+    p = sub.add_parser("disambiguate", parents=[min_len],
                        help="group aliases into authors")
     p.add_argument("aliases", help="alias CSV (id,name,email)")
     p.add_argument("-o", "--output", default=None,
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("truth", help="ground-truth partition CSV")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep",
+    p = sub.add_parser("sweep", parents=[min_len],
                        help="evaluate a grid of methods/measures/thresholds")
     p.add_argument("aliases", help="alias CSV (id,name,email)")
     p.add_argument("truth", help="ground-truth partition CSV")
@@ -211,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", default=str(DEFAULT_CONFIG.threshold),
                    help="comma list '0.9,0.95' or inclusive range "
                         "'0.5:1.0:0.05' of at most 1001 values")
-    p.add_argument("--min-len", type=int, default=DEFAULT_CONFIG.min_len)
     _add_common_input_options(p)
     _add_run_options(p)
     p.set_defaults(func=cmd_sweep)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from collections import defaultdict
+from functools import lru_cache
 from math import inf
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping
@@ -141,12 +142,13 @@ class _DisjointSet:
 def _pair_scorer(method: str,
                  cfg: MatcherConfig) -> Callable[[Alias, Alias], float]:
     """:func:`pair_score` of ``method`` under ``cfg`` as a function of the
-    pair alone. It memoises the name-part similarities for as long as it
-    lives, so a scan builds one and drops it at the end."""
+    pair alone. A scan builds one, which memoises the gated name-part
+    similarities; full names and email bases are nearly unique per alias."""
     if method == "simple":
         return lambda a, b: inf if simple_match(a, b, cfg) else -inf
     m = cfg.min_len
-    sim, part_sim = gated_similarity(cfg), gated_similarity(cfg, memo=True)
+    sim = gated_similarity(cfg)
+    part_sim = lru_cache(maxsize=1 << 18)(sim)
     if method == "gambit":
         return lambda a, b: gambit_rule_score(a, b, m, sim, part_sim)
     return lambda a, b: bird_rule_score(a, b, m, sim, part_sim)

@@ -14,7 +14,7 @@ from .clustering import disambiguate  # noqa: F401
 from .errors import UniverseMismatchError
 from .normalize import Alias
 from .rules import DEFAULT_CONFIG, MatcherConfig
-from .similarity import LevenshteinRows, Measure
+from .similarity import LevenshteinRows, Measure, edit_budget
 from .storage import write_csv
 
 
@@ -104,7 +104,9 @@ def sweep(aliases: list[Alias], truth: Partition,
     closure and evaluation, so the rows add up to the sweep's time.
 
     Before any scan, raises ``ValueError`` on no or an unknown method, no
-    measure for a method that uses one, or no or an out-of-range threshold.
+    measure for a method that uses one, or no or an out-of-range threshold,
+    and :class:`UniverseMismatchError` unless the truth labels exactly the
+    aliases' ids.
     """
     methods = list(dict.fromkeys(methods))
     measures = list(dict.fromkeys(measures))
@@ -121,6 +123,12 @@ def sweep(aliases: list[Alias], truth: Partition,
     if not thresholds:
         raise ValueError("no thresholds given")
     ids = _alias_ids(aliases)
+    known, labelled = set(ids), truth.universe()
+    if known != labelled:
+        raise UniverseMismatchError(
+            f"the truth covers other alias ids than the aliases: it lacks "
+            f"{len(known - labelled)} of the aliases' ids and has "
+            f"{len(labelled - known)} that no alias has")
 
     rows: list[SweepRow] = []
     for method in methods:
@@ -220,9 +228,10 @@ def triage(aliases: list[Alias], differ_cutoff: float = 0.5) -> TriageResult:
     or through a chain of such links) are auto-matches. Of the remaining
     pairs, those whose name similarity AND email similarity are both below
     ``differ_cutoff`` are auto-differs; everything else is left undecided
-    for a human. Similarities are ``levenshtein_similarity`` values from
-    exact edit distances, so every pair is decided exactly as by comparing
-    the two aliases alone.
+    for a human. Similarities are ``levenshtein_similarity`` values: each
+    exact edit distance is compared with the cutoff's ``edit_budget`` for
+    the pair's longer string, so every pair is decided exactly as by
+    comparing the two aliases alone.
 
     Every pair is written ``(id_a, id_b)`` with ``id_a < id_b``, and each
     list is in ascending order. Raises :class:`DuplicateAliasIdError` when
@@ -247,6 +256,9 @@ def triage(aliases: list[Alias], differ_cutoff: float = 0.5) -> TriageResult:
     roots = [dsu.find(k) for k in range(n)]
     name_rows = LevenshteinRows(names)
     email_rows = LevenshteinRows(emails)
+    # budget[l]: the most edits at the cutoff for a longer string of l
+    budget = [edit_budget(longer, differ_cutoff) for longer in
+              range(max(map(len, names + emails), default=0) + 1)]
     auto_match = []
     auto_differ = []
     undecided = []
@@ -260,15 +272,11 @@ def triage(aliases: list[Alias], differ_cutoff: float = 0.5) -> TriageResult:
             pair = (id_a, ids[j])
             if roots[j] == root:
                 auto_match.append(pair)
-                continue
-            # levenshtein_similarity, from the distance already at hand
-            longer = max(name_len, len(names[j]))
-            if (1.0 - name_d / longer if longer else 1.0) < differ_cutoff:
-                longer = max(email_len, len(emails[j]))
-                if (1.0 - email_d / longer if longer else 1.0) < differ_cutoff:
-                    auto_differ.append(pair)
-                    continue
-            undecided.append(pair)
+            elif (name_d > budget[max(name_len, len(names[j]))]
+                  and email_d > budget[max(email_len, len(emails[j]))]):
+                auto_differ.append(pair)
+            else:
+                undecided.append(pair)
     return TriageResult(tuple(auto_match), tuple(auto_differ),
                         tuple(undecided))
 

@@ -12,7 +12,6 @@ decision even at threshold 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from .normalize import Alias
@@ -44,18 +43,10 @@ class MatcherConfig:
 DEFAULT_CONFIG = MatcherConfig()
 
 
-def gated_similarity(cfg: MatcherConfig,
-                     memo: bool = False) -> Callable[[str, str], float]:
+def gated_similarity(cfg: MatcherConfig) -> Callable[[str, str], float]:
     """``cfg.measure``'s similarity, 0 when either string is shorter than
-    ``cfg.min_len``.
-
-    With ``memo`` the similarity behind the gate is memoised for as long as
-    the returned function lives. A scan builds one for the name parts,
-    which repeat across pairs because people share first and last names.
-    """
+    ``cfg.min_len``. Unmemoised: a scan memoises the name parts itself."""
     sim = cfg.measure.function()
-    if memo:
-        sim = lru_cache(maxsize=1 << 18)(sim)
     m = cfg.min_len
 
     def gs(x: str, y: str) -> float:

@@ -132,6 +132,23 @@ def levenshtein_similarity(s1: str, s2: str) -> float:
     return 1.0 - levenshtein_distance(s1, s2) / longer
 
 
+def edit_budget(longer: int, tau: float) -> int:
+    """The most edits d <= ``longer`` that pass the float test of
+    :func:`levenshtein_similarity` >= tau, ``1.0 - d / longer >= tau``
+    (``1.0 >= tau`` for two empty strings), or -1 if none does. Unlike
+    ``floor((1 - tau) * longer)``, 0 at tau = 0.9 and 10 characters, it
+    never rounds an edit short."""
+    if not longer:
+        return 0 if 1.0 >= tau else -1
+    # a start near the answer; the test is monotone in d, so walk to it
+    d = int((1.0 - min(max(tau, 0.0), 1.0)) * longer)
+    while d < longer and 1.0 - (d + 1) / longer >= tau:
+        d += 1
+    while d >= 0 and 1.0 - d / longer < tau:
+        d -= 1
+    return d
+
+
 @dataclass(frozen=True)
 class JaroBreakdown:
     """Intermediate quantities behind a Jaro similarity value.

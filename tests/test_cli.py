@@ -184,6 +184,25 @@ def test_sweep_without_measures_exits_2(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 2
 
 
+def test_sweep_with_a_truth_of_other_ids_exits_2(tmp_path, capsys):
+    truth = tmp_path / "other.csv"
+    truth.write_text("alias_id,author_id\nnobody,u1\n")
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", FIXTURE_ALIASES, str(truth), "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "the truth covers other alias ids than the aliases" in err
+    assert "lacks 32 of the aliases' ids and has 1 that no alias has" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["disambiguate", "sweep"])
+def test_min_len_has_its_help_text(command, capsys):
+    assert run_cli(command, "--help") == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert ("--min-len MIN_LEN strings shorter than this never match "
+            "(default 3)") in help_text
+
+
 def test_input_not_utf8_exits_2(tmp_path, capsys):
     aliases = tmp_path / "a.csv"
     aliases.write_bytes(b"id,name,email\nx1,Jos\xe9,j@x.co\n")

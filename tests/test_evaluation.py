@@ -237,6 +237,16 @@ def test_sweep_checks_every_method_before_a_scan():
             sweep(aliases, truth, methods=())
         with pytest.raises(ValueError, match="no measures"):
             sweep(aliases, truth, methods=("simple", "bird"), measures=())
+        # a truth that lacks two of the aliases' ids, then one with an id
+        # of no alias: there is no predicted file, so sweep must say so
+        lacking = Partition({a.id: a.id for a in aliases[2:]})
+        with pytest.raises(UniverseMismatchError,
+                           match="lacks 2 of the aliases' ids and has 0"):
+            sweep(aliases, lacking)
+        extra = Partition({**truth.assignment, "nobody": "nobody"})
+        with pytest.raises(UniverseMismatchError,
+                           match="lacks 0 of the aliases' ids and has 1"):
+            sweep(aliases, extra, methods=("simple", "gambit"))
     scan.assert_not_called()
 
 

@@ -1,10 +1,11 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dealias.similarity import (JaroBreakdown, LevenshteinRows, Measure,
-                                jaro_breakdown, jaro_similarity,
+                                edit_budget, jaro_breakdown, jaro_similarity,
                                 jaro_winkler_similarity, levenshtein_distance,
                                 levenshtein_similarity)
 from oracles import jaro_breakdown_reference, lev_distance_matrix
@@ -71,6 +72,38 @@ def test_levenshtein_rows_equal_matrix_oracle_from_every_start(strings, text):
         assert rows.distances(text, start) == want[start:]
     with pytest.raises(IndexError):
         rows.distances(text, len(strings) + 1)
+
+
+def _budget_cutoffs(longest):
+    """0, 1/2, 1, every similarity 1 - d / n of up to ``longest``
+    characters, and the floats just below and above each."""
+    exact = {0.0, 0.5, 1.0} | {1.0 - d / n for n in range(1, longest + 1)
+                               for d in range(n + 1)}
+    return sorted(exact | {math.nextafter(tau, side) for tau in exact
+                           for side in (-math.inf, math.inf)})
+
+
+def test_edit_budget_is_the_similarity_test_exhaustively():
+    cutoffs = _budget_cutoffs(40)
+    for n in range(41):
+        for tau in cutoffs:
+            budget = edit_budget(n, tau)
+            assert -1 <= budget <= n
+            for d in range(n + 1):
+                passes = (1.0 - d / n if n else 1.0) >= tau
+                assert (d <= budget) == passes, (n, d, tau, budget)
+
+
+@settings(max_examples=300)
+@given(words, words, st.data())
+def test_edit_budget_decides_the_levenshtein_cutoff(x, y, data):
+    sim = levenshtein_similarity(x, y)
+    tau = data.draw(st.one_of(
+        st.floats(0.0, 1.0),
+        st.sampled_from([sim, math.nextafter(sim, -math.inf),
+                         math.nextafter(sim, math.inf)])))
+    budget = edit_budget(max(len(x), len(y)), tau)
+    assert (sim >= tau) == (levenshtein_distance(x, y) <= budget)
 
 
 def test_jaro_canonical_transposition_pair():
