@@ -15,7 +15,8 @@ from .errors import (AliasFileError, DealiasError, DuplicateAliasIdError,
                      EmptyClusterError, PartitionFileError,
                      StopWordFileError, UniverseMismatchError)
 from .evaluation import (EvalReport, SweepRow, TriageResult, cohen_kappa,
-                         evaluate, sweep, triage, write_sweep_csv)
+                         evaluate, sweep, triage, triage_rows,
+                         write_sweep_csv)
 from .normalize import (Alias, RawAlias, StopWordConfig, extract_entities,
                         prepare_alias, prepare_aliases, preprocess)
 from .rules import MatcherConfig, is_match, score_pair, top_two_average
@@ -39,6 +40,6 @@ __all__ = [
     "levenshtein_similarity", "matched_pairs", "merge_partitions",
     "pair_score", "prepare_alias", "prepare_aliases", "preprocess",
     "read_aliases", "read_partition", "score_pair", "scored_pairs",
-    "simple_match", "sweep", "top_two_average", "triage", "write_aliases",
-    "write_partition", "write_sweep_csv",
+    "simple_match", "sweep", "top_two_average", "triage", "triage_rows",
+    "write_aliases", "write_partition", "write_sweep_csv",
 ]

@@ -239,7 +239,9 @@ def _similar_keys(keys: Iterable[str],
                                 min(start + high, n - width) + 1):
                     near.update(filed.get(s[at:at + width], ()))
         for u in near:
-            if levenshtein_distance(s, u) <= budget:
+            # the smaller string first, as levenshtein_similarity passes it
+            if (levenshtein_distance(s, u) if s < u
+                    else levenshtein_distance(u, s)) <= budget:
                 yield s, u
         if n not in index:
             parts = _max_edits_to_longer(n, tau) + 1

@@ -17,13 +17,12 @@ from math import inf
 
 from .clustering import METHODS, disambiguate
 from .errors import DealiasError
-from .evaluation import (evaluate, sweep, triage, write_sweep_csv,
-                         write_triage)
+from .evaluation import evaluate, sweep, triage_rows, write_sweep_csv
 from .normalize import StopWordConfig, prepare_aliases
 from .rules import DEFAULT_CONFIG, MatcherConfig
 from .similarity import Measure
 from .storage import (read_aliases, read_log, read_partition, write_aliases,
-                      write_partition)
+                      write_partition, write_triage)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -132,14 +131,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_triage(args) -> int:
     aliases = _load_prepared(args.aliases, args.stop_words)
-    result = triage(aliases, differ_cutoff=args.differ_cutoff)
-    write_triage(result, args.out_prefix)
-    total = (len(result.auto_match) + len(result.auto_differ)
-             + len(result.undecided))
-    print(f"auto_match = {len(result.auto_match)}")
-    print(f"auto_differ = {len(result.auto_differ)}")
-    print(f"undecided = {len(result.undecided)}")
-    print(f"total_pairs = {total}")
+    # triage_rows checks the cutoff before write_triage opens a file
+    counts = write_triage(triage_rows(aliases, args.differ_cutoff),
+                          args.out_prefix)
+    for key, count in zip(("auto_match", "auto_differ", "undecided"), counts):
+        print(f"{key} = {count}")
+    print(f"total_pairs = {sum(counts)}")
     return EXIT_OK
 
 

@@ -267,6 +267,18 @@ def _alias_ids(aliases: list[Alias]) -> list[str]:
     return ids
 
 
+def _check_same_ids(ids: Iterable[str], other: Iterable[str], name: str,
+                    other_name: str) -> None:
+    """Raise :class:`UniverseMismatchError` unless ``other`` holds exactly
+    the alias ids of ``ids``, saying how many ids each side lacks."""
+    ids, other = set(ids), set(other)
+    if ids != other:
+        raise UniverseMismatchError(
+            f"{other_name} covers other alias ids than {name}: "
+            f"{len(ids - other)} are only in {name}, "
+            f"{len(other - ids)} only in {other_name}")
+
+
 def disambiguate(aliases: list[Alias], method: str = "gambit",
                  cfg: MatcherConfig = DEFAULT_CONFIG,
                  workers: int = 1) -> Partition:
@@ -282,10 +294,8 @@ def disambiguate(aliases: list[Alias], method: str = "gambit",
 def merge_partitions(p1: Partition, p2: Partition) -> Partition:
     """Finest common coarsening: two aliases share an author in the result
     iff they are connected through same-author links of either input."""
-    if p1.universe() != p2.universe():
-        raise UniverseMismatchError(
-            f"partitions cover different alias ids "
-            f"({len(p1)} vs {len(p2)} aliases)")
+    _check_same_ids(p1.universe(), p2.universe(), "the first partition",
+                    "the second")
     ids = sorted(p1.universe())
     dsu = _DisjointSet(len(ids))
     for part in (p1, p2):

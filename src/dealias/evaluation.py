@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .clustering import (Partition, _alias_ids, _check_method, _DisjointSet,
-                         scored_pairs)
+from .clustering import (Partition, _alias_ids, _check_method,
+                         _check_same_ids, _DisjointSet, scored_pairs)
 # kept in this namespace, where bench/workloads.py wraps it for its trace
 from .clustering import disambiguate  # noqa: F401
-from .errors import UniverseMismatchError
 from .normalize import Alias
 from .rules import DEFAULT_CONFIG, MatcherConfig
 from .similarity import LevenshteinRows, Measure, edit_budget
@@ -53,9 +52,8 @@ def _pairs_within(sizes: Iterable[int]) -> int:
 def evaluate(predicted: Partition, truth: Partition) -> EvalReport:
     """Count pairs both/only-predicted/only-true via the cluster overlap
     table, without enumerating pairs."""
-    if predicted.universe() != truth.universe():
-        raise UniverseMismatchError(
-            "predicted and truth partitions cover different alias ids")
+    _check_same_ids(truth.universe(), predicted.universe(), "the truth",
+                    "the predicted partition")
     pred = predicted.assignment
     cells: dict[tuple[str, str], int] = {}
     for alias_id, true_author in truth.assignment.items():
@@ -123,12 +121,7 @@ def sweep(aliases: list[Alias], truth: Partition,
     if not thresholds:
         raise ValueError("no thresholds given")
     ids = _alias_ids(aliases)
-    known, labelled = set(ids), truth.universe()
-    if known != labelled:
-        raise UniverseMismatchError(
-            f"the truth covers other alias ids than the aliases: it lacks "
-            f"{len(known - labelled)} of the aliases' ids and has "
-            f"{len(labelled - known)} that no alias has")
+    _check_same_ids(ids, truth.universe(), "the aliases", "the truth")
 
     rows: list[SweepRow] = []
     for method in methods:
@@ -220,9 +213,15 @@ class TriageResult:
     undecided: tuple[tuple[str, str], ...]
 
 
-def triage(aliases: list[Alias], differ_cutoff: float = 0.5) -> TriageResult:
-    """Split all pairs into obvious matches, obvious non-matches and the
-    rest.
+def triage_rows(aliases: list[Alias], differ_cutoff: float = 0.5
+                ) -> Iterator[tuple[str, list[str], list[str], list[str]]]:
+    """Decide every pair of aliases, one alias at a time.
+
+    Yields ``(id_a, match, differ, undecided)`` for each alias in id order:
+    the ids after ``id_a`` that it auto-matches, auto-differs from and
+    leaves undecided, each list ascending. Only one alias's lists are held
+    at a time, so a caller that writes each row as it comes holds memory
+    linear in the number of aliases.
 
     Pairs whose aliases share an identical non-empty name or email (directly
     or through a chain of such links) are auto-matches. Of the remaining
@@ -231,21 +230,22 @@ def triage(aliases: list[Alias], differ_cutoff: float = 0.5) -> TriageResult:
     for a human. Similarities are ``levenshtein_similarity`` values: each
     exact edit distance is compared with the cutoff's ``edit_budget`` for
     the pair's longer string, so every pair is decided exactly as by
-    comparing the two aliases alone.
+    comparing the two aliases alone. Each alias's distances to all later
+    ones come from one pass of the packed kernel per field
+    (:class:`LevenshteinRows`).
 
-    Every pair is written ``(id_a, id_b)`` with ``id_a < id_b``, and each
-    list is in ascending order. Raises :class:`DuplicateAliasIdError` when
-    two aliases share an id, and ``ValueError`` unless
-    0 <= ``differ_cutoff`` <= 1.
-
-    The aliases are taken in id order, and each alias's distances to all
-    later ones come from one pass of the packed kernel per field
-    (:class:`LevenshteinRows`), so the pairs come out already sorted.
+    Raises :class:`DuplicateAliasIdError` when two aliases share an id, and
+    ``ValueError`` unless 0 <= ``differ_cutoff`` <= 1, before the first
+    row is decided.
     """
     if not 0.0 <= differ_cutoff <= 1.0:
         raise ValueError(f"differ cutoff out of range: {differ_cutoff}")
     _alias_ids(aliases)
-    aliases = sorted(aliases, key=lambda a: a.id)
+    return _triage_rows(sorted(aliases, key=lambda a: a.id), differ_cutoff)
+
+
+def _triage_rows(aliases: list[Alias], differ_cutoff: float
+                 ) -> Iterator[tuple[str, list[str], list[str], list[str]]]:
     n = len(aliases)
     ids = [a.id for a in aliases]
     names = [a.name for a in aliases]
@@ -256,35 +256,40 @@ def triage(aliases: list[Alias], differ_cutoff: float = 0.5) -> TriageResult:
     roots = [dsu.find(k) for k in range(n)]
     name_rows = LevenshteinRows(names)
     email_rows = LevenshteinRows(emails)
-    # budget[l]: the most edits at the cutoff for a longer string of l
+    # budget[l]: the most edits at the cutoff for a longer string of l.
+    # It grows with l, so a pair's budget, that of its longer string, is
+    # the larger of its two aliases' budgets: a distance exceeds it when it
+    # exceeds both.
     budget = [edit_budget(longer, differ_cutoff) for longer in
               range(max(map(len, names + emails), default=0) + 1)]
-    auto_match = []
-    auto_differ = []
-    undecided = []
+    name_budgets = [budget[len(name)] for name in names]
+    email_budgets = [budget[len(email)] for email in emails]
     for i in range(n):
-        id_a, root = ids[i], roots[i]
-        name, email = names[i], emails[i]
-        name_len, email_len = len(name), len(email)
+        root, name_budget, email_budget = (roots[i], name_budgets[i],
+                                           email_budgets[i])
+        match = []
+        differ = []
+        undecided = []
         for j, name_d, email_d in zip(range(i + 1, n),
-                                      name_rows.distances(name, i + 1),
-                                      email_rows.distances(email, i + 1)):
-            pair = (id_a, ids[j])
+                                      name_rows.distances(names[i], i + 1),
+                                      email_rows.distances(emails[i], i + 1)):
             if roots[j] == root:
-                auto_match.append(pair)
-            elif (name_d > budget[max(name_len, len(names[j]))]
-                  and email_d > budget[max(email_len, len(emails[j]))]):
-                auto_differ.append(pair)
+                match.append(ids[j])
+            elif (name_budget < name_d > name_budgets[j]
+                  and email_budget < email_d > email_budgets[j]):
+                differ.append(ids[j])
             else:
-                undecided.append(pair)
-    return TriageResult(tuple(auto_match), tuple(auto_differ),
-                        tuple(undecided))
+                undecided.append(ids[j])
+        yield ids[i], match, differ, undecided
 
 
-def write_triage(result: TriageResult, prefix) -> None:
-    """Write ``<prefix>_match.csv``, ``<prefix>_differ.csv`` and
-    ``<prefix>_undecided.csv``, each with one ``id_a,id_b`` row per pair."""
-    for suffix, pairs in (("match", result.auto_match),
-                          ("differ", result.auto_differ),
-                          ("undecided", result.undecided)):
-        write_csv(["id_a", "id_b"], pairs, f"{prefix}_{suffix}.csv")
+def triage(aliases: list[Alias], differ_cutoff: float = 0.5) -> TriageResult:
+    """Every pair of :func:`triage_rows`, held: obvious matches, obvious
+    non-matches and the rest, each written ``(id_a, id_b)`` with
+    ``id_a < id_b`` and in ascending order. It raises as
+    :func:`triage_rows` does."""
+    kinds = ([], [], [])
+    for id_a, *decided in triage_rows(aliases, differ_cutoff):
+        for pairs, ids in zip(kinds, decided):
+            pairs += [(id_a, id_b) for id_b in ids]
+    return TriageResult(*map(tuple, kinds))

@@ -63,7 +63,9 @@ def levenshtein_distance(s1: str, s2: str) -> int:
     substitutions that turn ``s1`` into ``s2``.
 
     One lane of the bit-parallel column loop, with the shorter string as
-    the pattern.
+    the pattern. The cache keys on the ordered pair, so the package's
+    callers pass the smaller string first: a pair met in both orders is
+    then one entry.
     """
     if s1 == s2:
         return 0
@@ -129,6 +131,8 @@ def levenshtein_similarity(s1: str, s2: str) -> float:
     longer = max(len(s1), len(s2))
     if longer == 0:
         return 1.0
+    if s2 < s1:
+        s1, s2 = s2, s1
     return 1.0 - levenshtein_distance(s1, s2) / longer
 
 

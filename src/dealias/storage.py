@@ -6,8 +6,9 @@ import csv
 import io
 import logging
 import sys
-from contextlib import contextmanager, nullcontext
-from typing import IO, Iterable, Iterator
+from contextlib import ExitStack, contextmanager, nullcontext
+from itertools import repeat
+from typing import IO, Iterable, Iterator, Sequence
 
 from .clustering import Partition
 from .errors import AliasFileError, PartitionFileError, _undecodable_line
@@ -17,6 +18,8 @@ log = logging.getLogger(__name__)
 
 ALIAS_HEADER = ["id", "name", "email"]
 PARTITION_HEADER = ["alias_id", "author_id"]
+PAIR_HEADER = ["id_a", "id_b"]
+TRIAGE_FILES = ("match", "differ", "undecided")
 
 
 def _read_rows(path, header: list[str],
@@ -74,6 +77,30 @@ def write_csv(header: list[str], rows: Iterable[Iterable], out) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_triage(rows: Iterable[tuple[str, Sequence[str], Sequence[str],
+                                      Sequence[str]]],
+                 prefix) -> tuple[int, ...]:
+    """Write ``<prefix>_match.csv``, ``<prefix>_differ.csv`` and
+    ``<prefix>_undecided.csv``, each an ``id_a,id_b`` header and one row
+    per pair, from rows ``(id_a, match, differ, undecided)`` of
+    :func:`dealias.evaluation.triage_rows`. Each row's pairs are written as
+    it comes, so no more than one row is held. Returns the number of pairs
+    written to each file, in that order."""
+    counts = [0] * len(TRIAGE_FILES)
+    with ExitStack() as stack:
+        writers = []
+        for suffix in TRIAGE_FILES:
+            fh = stack.enter_context(_text_output(f"{prefix}_{suffix}.csv"))
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(PAIR_HEADER)
+            writers.append(writer.writerows)
+        for id_a, *decided in rows:
+            for k, (write, ids) in enumerate(zip(writers, decided)):
+                write(zip(repeat(id_a), ids))
+                counts[k] += len(ids)
+    return tuple(counts)
 
 
 def read_aliases(path) -> list[RawAlias]:

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from dealias import RawAlias, prepare_aliases, read_aliases, triage
 from dealias.cli import main, parse_thresholds
+from oracles import lev_similarity_matrix, triage_reference
 
 DATA = Path(__file__).parent / "data"
 FIXTURE_ALIASES = str(DATA / "fixture_aliases.csv")
@@ -191,8 +193,21 @@ def test_sweep_with_a_truth_of_other_ids_exits_2(tmp_path, capsys):
     assert run_cli("sweep", FIXTURE_ALIASES, str(truth), "-o", str(out)) == 2
     err = capsys.readouterr().err
     assert "the truth covers other alias ids than the aliases" in err
-    assert "lacks 32 of the aliases' ids and has 1 that no alias has" in err
+    assert "32 are only in the aliases, 1 only in the truth" in err
     assert not out.exists()
+
+
+def test_evaluate_partitions_of_other_ids_exits_2(tmp_path, capsys):
+    predicted = tmp_path / "p.csv"
+    predicted.write_text("alias_id,author_id\na1,u1\na2,u1\nnobody,u2\n")
+    truth = tmp_path / "t.csv"
+    truth.write_text("alias_id,author_id\na1,u1\na2,u2\na3,u3\na4,u3\n")
+    assert run_cli("evaluate", str(predicted), str(truth)) == 2
+    out, err = capsys.readouterr()
+    assert ("the predicted partition covers other alias ids than the "
+            "truth: 2 are only in the truth, 1 only in the predicted "
+            "partition") in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("command", ["disambiguate", "sweep"])
@@ -408,3 +423,47 @@ def test_duplicate_alias_id_exits_2_naming_its_line(rows, bom, crlf, data):
     assert code == 2
     # line 1 is the header
     assert f"{aliases}:{later + 2}: duplicate alias id {ids[later]!r}" in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*[st.one_of(_FIELDS, st.text("ab c@.", max_size=8))]
+                          * 2), max_size=10),
+       st.data())
+def test_triage_files_equal_the_reference_split(rows, data):
+    # ids in an order other than the file's, so the rows come out sorted
+    # by the program and not by the input
+    order = data.draw(st.permutations(range(len(rows))))
+    raws = [RawAlias(f"i{k}", name, email)
+            for k, (name, email) in zip(order, rows)]
+    # a cutoff at a similarity some pair has decides that pair at the edge
+    cleaned = prepare_aliases(raws)
+    edges = sorted({lev_similarity_matrix(x, y)
+                    for a, b in itertools.combinations(cleaned, 2)
+                    for x, y in ((a.name, b.name), (a.email, b.email))})
+    cutoff = data.draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                                 st.floats(0.0, 1.0),
+                                 st.sampled_from(edges or [0.5])))
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["id", "name", "email"])
+    writer.writerows((r.id, r.name, r.email) for r in raws)
+    with tempfile.TemporaryDirectory() as tmp:
+        aliases, prefix = Path(tmp, "aliases.csv"), Path(tmp, "t")
+        aliases.write_text(text.getvalue(), encoding="utf-8")
+        code, out, _ = _run_quietly("triage", str(aliases), "--out-prefix",
+                                    str(prefix), "--differ-cutoff",
+                                    repr(cutoff))
+        files = []
+        for suffix in ("match", "differ", "undecided"):
+            with open(f"{prefix}_{suffix}.csv", newline="",
+                      encoding="utf-8") as fh:
+                files.append([tuple(row) for row in csv.reader(fh)])
+        assert prepare_aliases(read_aliases(aliases)) == cleaned
+    want = triage_reference(cleaned, cutoff)
+    assert code == 0
+    assert files == [[("id_a", "id_b")] + pairs for pairs in want]
+    n = len(rows)
+    assert out == (f"auto_match = {len(want[0])}\n"
+                   f"auto_differ = {len(want[1])}\n"
+                   f"undecided = {len(want[2])}\n"
+                   f"total_pairs = {n * (n - 1) // 2}\n")

@@ -301,7 +301,8 @@ def test_merge_partitions():
     p2 = Partition({"a": "x", "b": "y", "c": "y", "d": "z"})
     merged = merge_partitions(p1, p2)
     assert merged.clusters() == {"a": ["a", "b", "c"], "d": ["d"]}
-    with pytest.raises(UniverseMismatchError):
+    with pytest.raises(UniverseMismatchError, match="3 are only in the "
+                       "first partition, 0 only in the second"):
         merge_partitions(p1, Partition({"a": "1"}))
 
 

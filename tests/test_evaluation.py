@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -10,12 +11,14 @@ from dealias import clustering
 from dealias.clustering import METHODS, Partition, disambiguate
 from dealias.errors import DuplicateAliasIdError, UniverseMismatchError
 from dealias.evaluation import (EvalReport, SWEEP_HEADER, cohen_kappa,
-                                evaluate, sweep, triage, write_sweep_csv)
+                                evaluate, sweep, triage, triage_rows,
+                                write_sweep_csv)
 from dealias.rules import MatcherConfig
 from dealias.similarity import Measure
+from dealias.storage import write_triage
 from oracles import (brute_force_counts, lev_similarity_matrix,
                      triage_reference)
-from synth import alias_lists, make_alias, random_corpus
+from synth import alias_lists, make_alias, random_corpus, random_token
 
 
 def partition_of(groups):
@@ -165,6 +168,35 @@ def test_triage_rejects_cutoff_out_of_range():
             triage(aliases, differ_cutoff=cutoff)
 
 
+def test_triage_rows_check_their_input_before_the_first_row():
+    aliases = [make_alias("b", "bob roe", "bob@y org"),
+               make_alias("a", "ann lee", "ann@x org")]
+    # raised by the call itself, not by the first next()
+    with pytest.raises(ValueError, match="differ cutoff out of range"):
+        triage_rows(aliases, differ_cutoff=2.0)
+    with pytest.raises(DuplicateAliasIdError):
+        triage_rows(aliases + aliases[:1])
+    assert list(triage_rows(aliases)) == [("a", [], [], ["b"]),
+                                          ("b", [], [], [])]
+
+
+def test_streaming_triage_holds_one_row_not_every_pair(tmp_path):
+    # 499,500 pairs: held as id tuples they take about 30 MB; streamed,
+    # only one alias's three lists and the packed rows are alive at a time
+    rng = random.Random(7)
+    aliases = [make_alias(f"a{k:04d}", random_token(rng, 1, 5),
+                          random_token(rng, 1, 5) + "@x")
+               for k in range(1000)]
+    tracemalloc.start()
+    try:
+        counts = write_triage(triage_rows(aliases), tmp_path / "t")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(counts) == 1000 * 999 // 2
+    assert peak < 4 << 20
+
+
 def _exact_similarities(aliases):
     """Every similarity a pair of the aliases has, on names and emails."""
     values = set()
@@ -240,12 +272,12 @@ def test_sweep_checks_every_method_before_a_scan():
         # a truth that lacks two of the aliases' ids, then one with an id
         # of no alias: there is no predicted file, so sweep must say so
         lacking = Partition({a.id: a.id for a in aliases[2:]})
-        with pytest.raises(UniverseMismatchError,
-                           match="lacks 2 of the aliases' ids and has 0"):
+        with pytest.raises(UniverseMismatchError, match="2 are only in the "
+                           "aliases, 0 only in the truth"):
             sweep(aliases, lacking)
         extra = Partition({**truth.assignment, "nobody": "nobody"})
-        with pytest.raises(UniverseMismatchError,
-                           match="lacks 0 of the aliases' ids and has 1"):
+        with pytest.raises(UniverseMismatchError, match="0 are only in the "
+                           "aliases, 1 only in the truth"):
             sweep(aliases, extra, methods=("simple", "gambit"))
     scan.assert_not_called()
 

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dealias.blocking import _similar_keys
 from dealias.similarity import (JaroBreakdown, LevenshteinRows, Measure,
                                 edit_budget, jaro_breakdown, jaro_similarity,
                                 jaro_winkler_similarity, levenshtein_distance,
@@ -20,6 +21,19 @@ def test_levenshtein_distance_basics():
     assert levenshtein_distance("kitten", "sitting") == 3
     assert levenshtein_distance("flaw", "lawn") == 2
     assert levenshtein_distance("abc", "abc") == 0
+
+
+def test_a_pair_in_either_order_is_one_cache_entry():
+    # the index confirms a hit and the rules then score the same pair,
+    # each passing the two strings in whatever order it meets them
+    levenshtein_distance.cache_clear()
+    assert list(_similar_keys(["abcdefgh", "abcdefgx"], 0.8)) == [
+        ("abcdefgh", "abcdefgh"), ("abcdefgx", "abcdefgx"),
+        ("abcdefgx", "abcdefgh")]
+    assert levenshtein_similarity("abcdefgx", "abcdefgh") == 1 - 1 / 8
+    assert levenshtein_similarity("abcdefgh", "abcdefgx") == 1 - 1 / 8
+    info = levenshtein_distance.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
 
 
 def test_levenshtein_exhaustive_against_matrix_oracle():
@@ -92,6 +106,14 @@ def test_edit_budget_is_the_similarity_test_exhaustively():
             for d in range(n + 1):
                 passes = (1.0 - d / n if n else 1.0) >= tau
                 assert (d <= budget) == passes, (n, d, tau, budget)
+
+
+def test_edit_budget_grows_with_the_length():
+    # triage tests a distance against both aliases' budgets in place of
+    # the budget of the pair's longer string, which holds only so
+    for tau in _budget_cutoffs(40):
+        budgets = [edit_budget(n, tau) for n in range(80)]
+        assert budgets == sorted(budgets), tau
 
 
 @settings(max_examples=300)
