@@ -17,14 +17,14 @@ from .errors import (AliasFileError, DealiasError, DuplicateAliasIdError,
 from .evaluation import (EvalReport, SweepRow, TriageResult, cohen_kappa,
                          evaluate, sweep, triage, triage_rows,
                          write_sweep_csv)
-from .normalize import (Alias, RawAlias, StopWordConfig, extract_entities,
-                        prepare_alias, prepare_aliases, preprocess)
+from .normalize import (Alias, RawAlias, extract_entities, prepare_alias,
+                        prepare_aliases, preprocess)
 from .rules import MatcherConfig, is_match, score_pair, top_two_average
 from .similarity import (JaroBreakdown, Measure, jaro_breakdown,
                          jaro_similarity, jaro_winkler_similarity,
                          levenshtein_distance, levenshtein_similarity)
 from .storage import (extract_from_log, read_aliases, read_partition,
-                      write_aliases, write_partition)
+                      read_stop_words, write_aliases, write_partition)
 
 __version__ = "0.1.0"
 
@@ -32,14 +32,13 @@ __all__ = [
     "Alias", "AliasFileError", "DealiasError", "DuplicateAliasIdError",
     "EmptyClusterError", "EvalReport", "JaroBreakdown", "MatcherConfig",
     "Measure", "METHODS", "Partition", "PartitionFileError", "RawAlias",
-    "StopWordConfig", "StopWordFileError", "SweepRow", "TriageResult",
-    "UniverseMismatchError", "bird_match", "bird_score", "cohen_kappa",
-    "disambiguate", "evaluate", "extract_entities", "extract_from_log",
-    "is_match", "jaro_breakdown", "jaro_similarity",
-    "jaro_winkler_similarity", "levenshtein_distance",
+    "StopWordFileError", "SweepRow", "TriageResult", "UniverseMismatchError",
+    "bird_match", "bird_score", "cohen_kappa", "disambiguate", "evaluate",
+    "extract_entities", "extract_from_log", "is_match", "jaro_breakdown",
+    "jaro_similarity", "jaro_winkler_similarity", "levenshtein_distance",
     "levenshtein_similarity", "matched_pairs", "merge_partitions",
     "pair_score", "prepare_alias", "prepare_aliases", "preprocess",
-    "read_aliases", "read_partition", "score_pair", "scored_pairs",
-    "simple_match", "sweep", "top_two_average", "triage", "triage_rows",
-    "write_aliases", "write_partition", "write_sweep_csv",
+    "read_aliases", "read_partition", "read_stop_words", "score_pair",
+    "scored_pairs", "simple_match", "sweep", "top_two_average", "triage",
+    "triage_rows", "write_aliases", "write_partition", "write_sweep_csv",
 ]

@@ -18,11 +18,11 @@ from math import inf
 from .clustering import METHODS, disambiguate
 from .errors import DealiasError
 from .evaluation import evaluate, sweep, triage_rows, write_sweep_csv
-from .normalize import StopWordConfig, prepare_aliases
+from .normalize import prepare_aliases
 from .rules import DEFAULT_CONFIG, MatcherConfig
 from .similarity import Measure
-from .storage import (read_aliases, read_log, read_partition, write_aliases,
-                      write_partition, write_triage)
+from .storage import (read_aliases, read_log, read_partition, read_stop_words,
+                      write_aliases, write_partition, write_triage)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -82,9 +82,9 @@ def _matcher_config(args) -> MatcherConfig:
 
 
 def _load_prepared(path, stop_words_path):
-    cfg = (StopWordConfig.from_file(stop_words_path)
-           if stop_words_path else None)
-    return prepare_aliases(read_aliases(path), cfg)
+    stop_words = (None if stop_words_path is None
+                  else read_stop_words(stop_words_path))
+    return prepare_aliases(read_aliases(path), stop_words)
 
 
 def cmd_disambiguate(args) -> int:

@@ -1,5 +1,4 @@
-"""Exception types raised for bad input data, and the line lookup their
-messages use."""
+"""Exception types raised for bad input data."""
 
 
 class DealiasError(ValueError):
@@ -15,7 +14,7 @@ class PartitionFileError(DealiasError):
 
 
 class StopWordFileError(DealiasError):
-    """Unreadable stop-word list."""
+    """Unreadable stop-word list, or a word that cleaning never produces."""
 
 
 class EmptyClusterError(DealiasError):
@@ -28,20 +27,3 @@ class DuplicateAliasIdError(DealiasError):
 
 class UniverseMismatchError(DealiasError):
     """Two partitions that should cover the same alias ids do not."""
-
-
-def _undecodable_line(path) -> int:
-    """Number of the first line of ``path`` that is not valid UTF-8.
-
-    Lines are decoded one at a time: no byte of a multi-byte UTF-8
-    sequence is a line break, so a line decodes on its own exactly when it
-    decodes inside the whole file.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    for line_no, line in enumerate(data.splitlines(), start=1):
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError:
-            return line_no
-    return 1  # not reached for a file the text reader rejected

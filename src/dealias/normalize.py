@@ -11,8 +11,6 @@ import unicodedata
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import StopWordFileError, _undecodable_line
-
 
 @dataclass(frozen=True)
 class RawAlias:
@@ -54,35 +52,6 @@ DEFAULT_STOP_WORDS = frozenset("""
     hkt sgt ict aest aedt acst acdt awst nzst nzdt
 """.split())
 
-
-@dataclass(frozen=True)
-class StopWordConfig:
-    """The token set removed during cleaning."""
-
-    stop_words: frozenset[str] = DEFAULT_STOP_WORDS
-
-    @classmethod
-    def from_file(cls, path) -> "StopWordConfig":
-        """Load a stop-word list: one token per line, '#' starts a comment,
-        blank lines are ignored. Tokens are lowercased.
-
-        Raises :class:`StopWordFileError` (with the offending line number)
-        on bytes that are not UTF-8.
-        """
-        words = set()
-        try:
-            with open(path, encoding="utf-8-sig") as fh:
-                for line in fh:
-                    token = line.split("#", 1)[0].strip().lower()
-                    if token:
-                        words.add(token)
-        except UnicodeDecodeError:
-            raise StopWordFileError(
-                f"{path}:{_undecodable_line(path)}: not valid UTF-8") from None
-        return cls(frozenset(words))
-
-
-_DEFAULT_STOP_CONFIG = StopWordConfig()
 
 # Characters with no ASCII decomposition that still have a conventional
 # ASCII spelling.
@@ -128,18 +97,21 @@ def _clean(text: str, stop_words: frozenset[str], keep_at: bool) -> str:
     return " ".join(tokens)
 
 
-def preprocess(raw: RawAlias, cfg: StopWordConfig | None = None) -> tuple[str, str]:
+def preprocess(raw: RawAlias,
+               stop_words: frozenset[str] | None = None) -> tuple[str, str]:
     """Clean a raw record, returning the (name, email) string pair.
 
     Steps, in order: ASCII transliteration, camel-case splitting,
     delimiter-to-space replacement (``+ - , . _ ;``), removal of all other
     non-alphabetical characters ('@' is kept in emails), lowercasing,
-    stop-word removal, whitespace collapse. The result is idempotent under
-    a second application.
+    removal of the tokens in ``stop_words`` (None means
+    :data:`DEFAULT_STOP_WORDS`), whitespace collapse. The result is
+    idempotent under a second application.
     """
-    cfg = cfg or _DEFAULT_STOP_CONFIG
-    return (_clean(raw.name, cfg.stop_words, keep_at=False),
-            _clean(raw.email, cfg.stop_words, keep_at=True))
+    if stop_words is None:
+        stop_words = DEFAULT_STOP_WORDS
+    return (_clean(raw.name, stop_words, keep_at=False),
+            _clean(raw.email, stop_words, keep_at=True))
 
 
 def extract_entities(name: str, email: str, alias_id: str) -> Alias:
@@ -156,13 +128,13 @@ def extract_entities(name: str, email: str, alias_id: str) -> Alias:
                  penultimate_name=penultimate, last_name=last, email_base=base)
 
 
-def prepare_alias(raw: RawAlias, cfg: StopWordConfig | None = None) -> Alias:
+def prepare_alias(raw: RawAlias,
+                  stop_words: frozenset[str] | None = None) -> Alias:
     """Clean one raw record and extract its matching features."""
-    name, email = preprocess(raw, cfg)
+    name, email = preprocess(raw, stop_words)
     return extract_entities(name, email, raw.id)
 
 
 def prepare_aliases(raws: Iterable[RawAlias],
-                    cfg: StopWordConfig | None = None) -> list[Alias]:
-    cfg = cfg or _DEFAULT_STOP_CONFIG
-    return [prepare_alias(raw, cfg) for raw in raws]
+                    stop_words: frozenset[str] | None = None) -> list[Alias]:
+    return [prepare_alias(raw, stop_words) for raw in raws]

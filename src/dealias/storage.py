@@ -11,8 +11,8 @@ from itertools import repeat
 from typing import IO, Iterable, Iterator, Sequence
 
 from .clustering import Partition
-from .errors import AliasFileError, PartitionFileError, _undecodable_line
-from .normalize import RawAlias
+from .errors import AliasFileError, PartitionFileError, StopWordFileError
+from .normalize import RawAlias, preprocess
 
 log = logging.getLogger(__name__)
 
@@ -22,32 +22,82 @@ PAIR_HEADER = ["id_a", "id_b"]
 TRIAGE_FILES = ("match", "differ", "undecided")
 
 
+def _undecodable_line(path) -> int:
+    """Number of the first line of ``path`` that is not valid UTF-8.
+
+    Lines are decoded one at a time: no byte of a multi-byte UTF-8
+    sequence is a line break, so a line decodes on its own exactly when it
+    decodes inside the whole file.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for line_no, line in enumerate(data.splitlines(), start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return line_no
+    return 1  # not reached for a file the text reader rejected
+
+
+@contextmanager
+def _text_input(path, error: type[Exception]) -> Iterator[IO[str]]:
+    """The file at ``path`` open for reading UTF-8 text, a byte-order mark
+    dropped and line ends kept as they are. A byte that is not UTF-8
+    raises ``error`` as ``file:line: not valid UTF-8``."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise error(
+            f"{path}:{_undecodable_line(path)}: not valid UTF-8") from None
+
+
 def _read_rows(path, header: list[str],
                error: type[Exception]) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line, row)`` for each record of the CSV file at ``path``
     after its header, skipping blank lines. ``line`` is the line the record
-    ends on: a quoted field may span lines. A byte-order mark is dropped.
+    ends on: a quoted field may span lines.
 
     Raises ``error``, naming the line, on a header other than ``header``, a
     record with another number of fields, or bytes that are not UTF-8.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            first = next(reader, None)
-            if first is None or [h.strip() for h in first] != header:
-                raise error(f"{path}:1: expected header {','.join(header)!r}, "
-                            f"got {first!r}")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise error(f"{path}:{reader.line_num}: expected "
-                                f"{len(header)} fields, got {len(row)}")
-                yield reader.line_num, row
-    except UnicodeDecodeError:
-        raise error(
-            f"{path}:{_undecodable_line(path)}: not valid UTF-8") from None
+    with _text_input(path, error) as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first] != header:
+            raise error(f"{path}:1: expected header {','.join(header)!r}, "
+                        f"got {first!r}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise error(f"{path}:{reader.line_num}: expected "
+                            f"{len(header)} fields, got {len(row)}")
+            yield reader.line_num, row
+
+
+def read_stop_words(path) -> frozenset[str]:
+    """Load a stop-word list: one word per line, ``#`` starts a comment,
+    blank lines are skipped, words are lowercased.
+
+    Raises :class:`StopWordFileError`, naming the line, on bytes that are
+    not UTF-8 and on a word that no cleaned name or email holds as a
+    token: one with whitespace, or one that cleaning would change.
+    """
+    words = set()
+    with _text_input(path, StopWordFileError) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            word = line.split("#", 1)[0].strip().lower()
+            if not word:
+                continue
+            cleaned = preprocess(RawAlias("", "", word), frozenset())[1]
+            if cleaned.split() != [word]:
+                raise StopWordFileError(
+                    f"{path}:{line_no}: stop word {word!r} is not one "
+                    f"cleaned token (cleaning gives {cleaned!r}), so it "
+                    "would remove nothing")
+            words.add(word)
+    return frozenset(words)
 
 
 @contextmanager

@@ -288,6 +288,31 @@ def test_stop_words_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_stop_word_list_of_only_comments_removes_nothing(tmp_path, capsys):
+    aliases = tmp_path / "a.csv"
+    aliases.write_text("id,name,email\nx1,Jr UTC,\nx2,Jr UTC,\n")
+    stop = tmp_path / "stop.txt"
+    stop.write_text("# no words here\n\n   # nor here\n")
+    part = tmp_path / "p.csv"
+    # the built-in list removes both tokens and leaves two empty names
+    assert run_cli("disambiguate", str(aliases), "-o", str(part)) == 0
+    assert part.read_text() == "alias_id,author_id\nx1,x1\nx2,x2\n"
+    # an empty list keeps them, and the equal names "jr utc" match
+    assert run_cli("disambiguate", str(aliases), "-o", str(part),
+                   "--stop-words", str(stop)) == 0
+    assert part.read_text() == "alias_id,author_id\nx1,x1\nx2,x1\n"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("word", ["josé", "van der", "o'brien", "jr2"])
+def test_stop_word_cleaning_never_produces_exits_2(word, tmp_path, capsys):
+    stop = tmp_path / "stop.txt"
+    stop.write_text(f"doe\n\n{word}  # a comment\n", encoding="utf-8")
+    assert run_cli("disambiguate", FIXTURE_ALIASES,
+                   "--stop-words", str(stop)) == 2
+    assert f"{stop}:3: stop word {word!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["disambiguate", "extract", "sweep"])
 def test_stdout_equals_output_file(command, tmp_path, capsysbinary):
     log = tmp_path / "log.txt"

@@ -4,13 +4,13 @@ import unicodedata
 import pytest
 from hypothesis import given, strategies as st
 
-from dealias.normalize import (Alias, RawAlias, StopWordConfig, _to_ascii,
-                               extract_entities, prepare_alias,
-                               prepare_aliases, preprocess)
+from dealias.normalize import (Alias, RawAlias, _to_ascii, extract_entities,
+                               prepare_alias, prepare_aliases, preprocess)
+from dealias.storage import read_stop_words
 
 
-def clean_pair(name, email, cfg=None):
-    return preprocess(RawAlias("x", name, email), cfg)
+def clean_pair(name, email, stop_words=None):
+    return preprocess(RawAlias("x", name, email), stop_words)
 
 
 def test_pipeline_worked_example():
@@ -63,14 +63,23 @@ def test_stop_words_removed_tokenwise():
 def test_custom_stop_words(tmp_path):
     path = tmp_path / "stop.txt"
     path.write_text("# comment line\nfoo\nBAR  # trailing comment\n\n")
-    cfg = StopWordConfig.from_file(path)
-    assert cfg.stop_words == frozenset({"foo", "bar"})
-    assert clean_pair("foo bar baz jr", "", cfg)[0] == "baz jr"
+    stop_words = read_stop_words(path)
+    assert stop_words == frozenset({"foo", "bar"})
+    assert clean_pair("foo bar baz jr", "", stop_words)[0] == "baz jr"
     # a byte-order mark is not part of the first word
     path.write_bytes("\ufeffsmith\n".encode("utf-8"))
-    cfg = StopWordConfig.from_file(path)
-    assert cfg.stop_words == frozenset({"smith"})
-    assert clean_pair("John Smith", "", cfg)[0] == "john"
+    stop_words = read_stop_words(path)
+    assert stop_words == frozenset({"smith"})
+    assert clean_pair("John Smith", "", stop_words)[0] == "john"
+
+
+def test_empty_stop_word_set_removes_nothing():
+    raws = [RawAlias("x", "John Doe Jr", "jr.UTC@example.org")]
+    kept, = prepare_aliases(raws, frozenset())
+    assert (kept.name, kept.email) == ("john doe jr", "jr utc@example org")
+    assert clean_pair("Pierre UTC", "", frozenset()) == ("pierre utc", "")
+    default, = prepare_aliases(raws)
+    assert (default.name, default.email) == ("john doe", "utc@example org")
 
 
 def test_whitespace_collapsed():

@@ -1,13 +1,16 @@
 import io
 import logging
+import tempfile
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dealias.clustering import Partition
-from dealias.errors import AliasFileError, PartitionFileError
-from dealias.normalize import RawAlias
+from dealias.errors import (AliasFileError, PartitionFileError,
+                            StopWordFileError)
+from dealias.normalize import DEFAULT_STOP_WORDS, RawAlias, preprocess
 from dealias.storage import (extract_from_log, read_aliases, read_partition,
-                             write_aliases, write_partition)
+                             read_stop_words, write_aliases, write_partition)
 
 
 def test_alias_round_trip(tmp_path):
@@ -163,3 +166,39 @@ def test_read_partition_counts_lines_inside_quoted_fields(tmp_path):
     with pytest.raises(PartitionFileError,
                        match=r"p\.csv:4: alias id 'x1' assigned twice"):
         read_partition(path)
+
+
+def test_read_stop_words_drops_bom_crlf_comments_and_case(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_bytes("\ufeffFoo\r\n# comment\r\n\r\nBAR  # trailing\r\n"
+                     "NoReply@GitHub\r\n".encode("utf-8"))
+    assert read_stop_words(path) == frozenset({"foo", "bar", "noreply@github"})
+    path.write_text("# only comments\n\n  # and blanks\n")
+    assert read_stop_words(path) == frozenset()
+
+
+def test_read_stop_words_reads_the_built_in_list_back(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_text("\n".join(sorted(DEFAULT_STOP_WORDS)))
+    assert read_stop_words(path) == DEFAULT_STOP_WORDS
+
+
+@given(st.text(max_size=30), st.text(max_size=30))
+def test_every_cleaned_token_is_a_valid_stop_word(name, email):
+    cleaned = preprocess(RawAlias("x", name, email), frozenset())
+    words = " ".join(cleaned).split()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/stop.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(words))
+        stop_words = read_stop_words(path)
+    assert stop_words == frozenset(words)
+    # each word is removed where it is a token
+    assert preprocess(RawAlias("x", *cleaned), stop_words) == ("", "")
+
+
+def test_read_stop_words_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_bytes(b"doe\r\nsmith\rJos\xe9\n")
+    assert _message(StopWordFileError, read_stop_words, path) == (
+        f"{path}:3: not valid UTF-8")
