@@ -8,7 +8,7 @@ harness, threshold sweeps, inter-rater agreement and pair triage are
 included, along with a CLI (``dealias --help``).
 """
 
-from .baselines import bird_match, bird_score, simple_match
+from .baselines import bird_match, simple_match
 from .clustering import (METHODS, Partition, disambiguate, matched_pairs,
                          merge_partitions, pair_score, scored_pairs)
 from .errors import (AliasFileError, DealiasError, DuplicateAliasIdError,
@@ -21,8 +21,8 @@ from .normalize import (Alias, RawAlias, extract_entities, prepare_alias,
                         prepare_aliases, preprocess)
 from .rules import MatcherConfig, is_match, score_pair, top_two_average
 from .similarity import (JaroBreakdown, Measure, jaro_breakdown,
-                         jaro_similarity, jaro_winkler_similarity,
-                         levenshtein_distance, levenshtein_similarity)
+                         jaro_winkler_similarity, levenshtein_distance,
+                         levenshtein_similarity)
 from .storage import (extract_from_log, read_aliases, read_partition,
                       read_stop_words, write_aliases, write_partition)
 
@@ -33,9 +33,9 @@ __all__ = [
     "EmptyClusterError", "EvalReport", "JaroBreakdown", "MatcherConfig",
     "Measure", "METHODS", "Partition", "PartitionFileError", "RawAlias",
     "StopWordFileError", "SweepRow", "TriageResult", "UniverseMismatchError",
-    "bird_match", "bird_score", "cohen_kappa", "disambiguate", "evaluate",
+    "bird_match", "cohen_kappa", "disambiguate", "evaluate",
     "extract_entities", "extract_from_log", "is_match", "jaro_breakdown",
-    "jaro_similarity", "jaro_winkler_similarity", "levenshtein_distance",
+    "jaro_winkler_similarity", "levenshtein_distance",
     "levenshtein_similarity", "matched_pairs", "merge_partitions",
     "pair_score", "prepare_alias", "prepare_aliases", "preprocess",
     "read_aliases", "read_partition", "read_stop_words", "score_pair",

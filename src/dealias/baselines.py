@@ -31,28 +31,22 @@ def bird_match(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> bool:
     against ``cfg.threshold``, and the ``cfg.min_len`` gate applies to every
     comparison.
     """
-    return bird_score(a, b, cfg) >= cfg.threshold
-
-
-def bird_score(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> float:
-    """The pair score of :func:`bird_match`: the pair matches at threshold
-    t exactly when this is >= t.
-
-    +inf when a containment condition holds, otherwise the largest of the
-    full-name similarity, the smaller of the first-name and last-name
-    similarities, and the email-base similarity. ``cfg.threshold`` is not
-    used.
-    """
     gs = gated_similarity(cfg)
-    return bird_rule_score(a, b, cfg.min_len, gs, gs)
+    return bird_rule_score(a, b, cfg.min_len, gs, gs) >= cfg.threshold
 
 
 def bird_rule_score(a: Alias, b: Alias, m: int,
                     sim: Callable[[str, str], float],
                     part_sim: Callable[[str, str], float]) -> float:
-    """:func:`bird_score` with the similarities already built, as in
-    :func:`rules.gambit_rule_score`: ``sim`` for the full names and the
-    email bases, ``part_sim`` for the first and last names. The containment
+    """The pair score of :func:`bird_match`: the pair matches at threshold
+    t exactly when this is >= t.
+
+    +inf when a containment condition holds, otherwise the largest of the
+    full-name similarity, the smaller of the first-name and last-name
+    similarities, and the email-base similarity. As in
+    :func:`rules.gambit_rule_score`, ``m`` is the ``min_len`` gate, ``sim``
+    compares the full names and the email bases and ``part_sim`` the first
+    and last names, both ``gated_similarity`` functions. The containment
     conditions are gambit's rules 5-7."""
     _, r5, r6, r7, _ = exact_rules(a, b, m)
     if r5 or r6 or r7:

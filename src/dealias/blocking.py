@@ -27,9 +27,10 @@ A graded score >= tau > 0 implies that both compared strings pass the
 ``min_len`` gate and have Levenshtein similarity >= tau. The joins, and the
 gambit rules they stand for, are
 
-* hash joins on the email (rule 8) and on the name (rules 1 and 0 at once:
-  identical names are similar names too, which is two rules); simple joins
-  the names and the email bases;
+* a hash join on the email (rule 8), and the hits of a name with itself
+  in the name join below (rules 1 and 0 at once: identical names are
+  similar names too, which is two rules); simple hash-joins the names and
+  the email bases;
 * a substring join for the containment rules 5-7 (bird's containment
   conditions are the same three): every alias's ``(needle, rest)`` pairs
   from ``rules.needles`` are filed under the needle, each distinct email
@@ -70,9 +71,10 @@ with at least |shift| edits before it and |delta - shift| after it, delta
 = n - l being the difference in length. So |shift| + |delta - shift| <= d
 <= D(n), which is the window ceil((delta - D(n)) / 2) <= shift <=
 floor((delta + D(n)) / 2), and the probe looks up its substrings at those
-starts only. Every hit u is confirmed by ``levenshtein_distance(s, u) <=
-D(n)``, the rules' similarity test, as the probing key s is the longer;
-so the join yields exactly the pairs whose similarity reaches tau.
+starts only. Every hit u is confirmed by ``levenshtein_similarity(s, u)
+>= tau``, the rules' own similarity test, which passes exactly the hits
+within D(n) edits, as the probing key s is the longer; so the join yields
+exactly the pairs whose similarity reaches tau.
 
 All cutoffs are lowered by a small slack so that float rounding in the
 rules' arithmetic can only add candidates, never drop a match.
@@ -91,7 +93,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .normalize import Alias
 from .rules import MatcherConfig, needles
-from .similarity import Measure, edit_budget, levenshtein_distance
+from .similarity import Measure, edit_budget, levenshtein_similarity
 
 # how far below tau the join cuts, to absorb float rounding in the rules
 _FLOAT_SLACK = 1e-9
@@ -125,11 +127,12 @@ def candidate_partners(aliases: list[Alias], method: str,
     bases = _owners([a.email_base for a in aliases], m)
     if gambit:
         _join_equal(found, _owners([a.email for a in aliases], m), _RULE[8])
-        _join_equal(found, names, _RULE[0] | _RULE[1])
     _join_containment(found, aliases, bases, m)
-    for owners, rule in ((names, _RULE[0]), (bases, _RULE[9])):
+    # a name's hit with itself is an identical name: rules 0 and 1
+    for owners, rule, same in ((names, _RULE[0], _RULE[0] | _RULE[1]),
+                               (bases, _RULE[9], _RULE[9])):
         for s, u in _similar_keys(owners, tau):
-            found.add_all(owners[s], owners[u], rule)
+            found.add_all(owners[s], owners[u], same if s == u else rule)
     # rule 2 and bird compare first names; rules 3 and 4 compare one
     # alias's first name with the other's last name
     firsts = _owners([a.first_name for a in aliases], m)
@@ -239,9 +242,7 @@ def _similar_keys(keys: Iterable[str],
                                 min(start + high, n - width) + 1):
                     near.update(filed.get(s[at:at + width], ()))
         for u in near:
-            # the smaller string first, as levenshtein_similarity passes it
-            if (levenshtein_distance(s, u) if s < u
-                    else levenshtein_distance(u, s)) <= budget:
+            if levenshtein_similarity(s, u) >= tau:
                 yield s, u
         if n not in index:
             parts = _max_edits_to_longer(n, tau) + 1

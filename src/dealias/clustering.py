@@ -165,8 +165,8 @@ def pair_score(a: Alias, b: Alias, method: str = "gambit",
     t exactly when its score is >= t.
 
     Gambit's score is the top-two rule average, bird's is
-    :func:`baselines.bird_score`, and simple's is +inf for a match and -inf
-    otherwise. None of them uses ``cfg.threshold``.
+    :func:`baselines.bird_rule_score`, and simple's is +inf for a match and
+    -inf otherwise. None of them uses ``cfg.threshold``.
     """
     _check_method(method)
     return _pair_scorer(method, cfg)(a, b)

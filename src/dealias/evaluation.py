@@ -4,13 +4,13 @@ inter-rater agreement, and triage of pairs for manual labelling."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .clustering import (Partition, _alias_ids, _check_method,
-                         _check_same_ids, _DisjointSet, scored_pairs)
-# kept in this namespace, where bench/workloads.py wraps it for its trace
-from .clustering import disambiguate  # noqa: F401
+                         _check_same_ids, _DisjointSet, disambiguate,
+                         scored_pairs)
 from .normalize import Alias
 from .rules import DEFAULT_CONFIG, MatcherConfig
 from .similarity import LevenshteinRows, Measure, edit_budget
@@ -54,20 +54,12 @@ def evaluate(predicted: Partition, truth: Partition) -> EvalReport:
     table, without enumerating pairs."""
     _check_same_ids(truth.universe(), predicted.universe(), "the truth",
                     "the predicted partition")
-    pred = predicted.assignment
-    cells: dict[tuple[str, str], int] = {}
-    for alias_id, true_author in truth.assignment.items():
-        key = (pred[alias_id], true_author)
-        cells[key] = cells.get(key, 0) + 1
+    pred, actual = predicted.assignment, truth.assignment
+    cells = Counter((pred[alias_id], author)
+                    for alias_id, author in actual.items())
     tp = _pairs_within(cells.values())
-    pred_sizes: dict[str, int] = {}
-    for author in pred.values():
-        pred_sizes[author] = pred_sizes.get(author, 0) + 1
-    true_sizes: dict[str, int] = {}
-    for author in truth.assignment.values():
-        true_sizes[author] = true_sizes.get(author, 0) + 1
-    fp = _pairs_within(pred_sizes.values()) - tp
-    fn = _pairs_within(true_sizes.values()) - tp
+    fp = _pairs_within(Counter(pred.values()).values()) - tp
+    fn = _pairs_within(Counter(actual.values()).values()) - tp
     return EvalReport(tp, fp, fn)
 
 
@@ -97,9 +89,10 @@ def sweep(aliases: list[Alias], truth: Partition,
     No pair score depends on the threshold, and a pair matches at t exactly
     when its score is >= t. So each (method, measure) is scanned once, at the
     lowest threshold, and every threshold's partition is read from one
-    union-find pass over the scored pairs, highest score first. A row's
-    ``wall_time_s`` is an even share of its group's scan plus its own
-    closure and evaluation, so the rows add up to the sweep's time.
+    union-find pass over the scored pairs, highest score first. Each such
+    row's ``wall_time_s`` is an even share of its group's scan plus its own
+    closure and evaluation; the simple row's is its one :func:`disambiguate`
+    and evaluation. So the rows add up to the sweep's time.
 
     Before any scan, raises ``ValueError`` on no or an unknown method, no
     measure for a method that uses one, or no or an out-of-range threshold,
@@ -126,10 +119,11 @@ def sweep(aliases: list[Alias], truth: Partition,
     rows: list[SweepRow] = []
     for method in methods:
         if method == "simple":
-            cfg = MatcherConfig(min_len=min_len)
-            (row,) = _sweep_group(aliases, ids, truth, method, cfg,
-                                  [cfg.threshold], workers)
-            rows.append(replace(row, measure=None, threshold=None))
+            start = time.perf_counter()
+            report = evaluate(disambiguate(aliases, method, MatcherConfig(
+                min_len=min_len), workers), truth)
+            rows.append(SweepRow(method, None, None, report,
+                                 time.perf_counter() - start))
             continue
         for measure in measures:
             cfg = MatcherConfig(threshold=thresholds[0], measure=measure,

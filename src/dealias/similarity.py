@@ -230,10 +230,6 @@ def jaro_breakdown(s1: str, s2: str) -> JaroBreakdown:
     return JaroBreakdown(*_jaro(s1, s2))
 
 
-def jaro_similarity(s1: str, s2: str) -> float:
-    return _jaro(s1, s2)[3]
-
-
 def jaro_winkler_similarity(s1: str, s2: str) -> float:
     """Jaro similarity boosted towards 1 by a tenth per shared prefix
     character (at most four). The boost is applied unconditionally, not

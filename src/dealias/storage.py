@@ -59,21 +59,25 @@ def _read_rows(path, header: list[str],
     ends on: a quoted field may span lines.
 
     Raises ``error``, naming the line, on a header other than ``header``, a
-    record with another number of fields, or bytes that are not UTF-8.
+    record with another number of fields, bytes that are not UTF-8, or a
+    record the CSV reader rejects (a field over its size limit, say).
     """
     with _text_input(path, error) as fh:
         reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or [h.strip() for h in first] != header:
-            raise error(f"{path}:1: expected header {','.join(header)!r}, "
-                        f"got {first!r}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise error(f"{path}:{reader.line_num}: expected "
-                            f"{len(header)} fields, got {len(row)}")
-            yield reader.line_num, row
+        try:
+            first = next(reader, None)
+            if first is None or [h.strip() for h in first] != header:
+                raise error(f"{path}:1: expected header "
+                            f"{','.join(header)!r}, got {first!r}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise error(f"{path}:{reader.line_num}: expected "
+                                f"{len(header)} fields, got {len(row)}")
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise error(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def read_stop_words(path) -> frozenset[str]:

@@ -180,7 +180,7 @@ def containment_reference(a: Alias, b: Alias, min_len: int) -> set[int]:
 
 
 # baselines.bird_match as it was before it became a threshold on
-# baselines.bird_score: one early return per condition, with containment
+# baselines.bird_rule_score: one early return per condition, with containment
 # tested by this module's own predicates
 def bird_match_reference(a, b, cfg) -> bool:
     gs = gated_similarity(cfg)

@@ -37,6 +37,8 @@ def test_gambit_candidates_need_a_weight_two_rule_or_two_rules():
        st.floats(0.5, 1.0, exclude_min=True))
 # a wide key against an indexed one, a wide one and a short one
 @example({_WIDE, _INDEXED, _WIDE + "c", "abc", "ab"}, 0.9)
+# a pair at exactly tau: one edit in four
+@example({"abca", "abcb"}, 0.75)
 def test_similar_keys_equal_brute_force(keys, tau):
     got = [tuple(sorted(pair)) for pair in _similar_keys(keys, tau)]
     assert len(got) == len(set(got)), "a pair was yielded twice"

@@ -229,6 +229,25 @@ def test_input_not_utf8_exits_2(tmp_path, capsys):
     assert f"{truth}:2: not valid UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["disambiguate", "evaluate", "sweep"])
+def test_csv_field_over_the_size_limit_exits_2(command, tmp_path, capsys):
+    # the csv module rejects a field longer than csv.field_size_limit();
+    # line 3 of an alias, a partition and a truth file holds one
+    bad = tmp_path / "bad.csv"
+    long = "x" * (csv.field_size_limit() + 1)
+    if command == "disambiguate":
+        bad.write_text(f"id,name,email\na1,Ann,ann@x\na2,{long},b@y\n")
+        argv = [str(bad)]
+    else:
+        bad.write_text(f"alias_id,author_id\na1,u1\na2,{long}\n")
+        argv = ([str(bad), FIXTURE_TRUTH] if command == "evaluate"
+                else [FIXTURE_ALIASES, str(bad)])
+    assert run_cli(command, *argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:3: field larger than field limit" in err
+    assert "Traceback" not in err
+
+
 def test_stop_words_not_utf8_exits_2(tmp_path, capsys):
     stop = tmp_path / "stop.txt"
     stop.write_bytes(b"doe\nJos\xe9\n")

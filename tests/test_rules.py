@@ -4,8 +4,8 @@ from math import inf
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dealias import RawAlias, disambiguate, prepare_aliases
-from dealias.baselines import bird_match, bird_score
+from dealias import RawAlias, disambiguate, pair_score, prepare_aliases
+from dealias.baselines import bird_match
 from dealias.rules import (MatcherConfig, is_match, needles, score_pair,
                            top_two_average)
 from dealias.similarity import Measure
@@ -96,7 +96,7 @@ def test_one_token_name_fires_rule_7_on_one_substring():
     assert is_match(s, cfg)
     assert disambiguate([ann, joanne], cfg=cfg).author_count() == 1
     # bird's containment conditions are rules 5-7, so bird merges them too
-    assert bird_score(ann, joanne, cfg) == inf
+    assert pair_score(ann, joanne, "bird", cfg) == inf
 
 
 def test_identical_email_weighs_two():
@@ -235,7 +235,7 @@ def test_containment_rules_equal_the_oracle(a, b, min_len):
         s = score_pair(x, y, cfg)
         assert {rule for rule in (5, 6, 7) if s[rule]} == expected
         # bird's containment conditions are the same three rules
-        assert (bird_score(x, y, cfg) == inf) == bool(expected)
+        assert (pair_score(x, y, "bird", cfg) == inf) == bool(expected)
         if expected:
             assert bird_match(x, y, cfg)
 
