@@ -15,9 +15,9 @@ import time
 import traceback
 from math import inf
 
-from .clustering import METHODS, disambiguate
-from .errors import DealiasError
-from .evaluation import evaluate, sweep, triage_rows, write_sweep_csv
+from .clustering import DEFAULT_METHOD, METHODS, disambiguate
+from .evaluation import (DEFAULT_DIFFER_CUTOFF, evaluate, sweep, triage_rows,
+                         write_sweep_csv)
 from .normalize import prepare_aliases
 from .rules import DEFAULT_CONFIG, MatcherConfig
 from .similarity import Measure
@@ -28,8 +28,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-DEFAULT_METHOD = "gambit"
 
 # the most values a threshold range may hold: a 0.001 step over [0, 1]
 _MAX_THRESHOLDS = 1001
@@ -71,29 +69,26 @@ def parse_thresholds(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip()]
 
 
-def _matcher_config(args) -> MatcherConfig:
-    # None marks an option left out, which `simple` warns about
-    measure = (DEFAULT_CONFIG.measure if args.measure is None
-               else Measure.from_token(args.measure))
-    threshold = (DEFAULT_CONFIG.threshold if args.threshold is None
-                 else args.threshold)
-    return MatcherConfig(threshold=threshold, measure=measure,
-                         min_len=args.min_len)
-
-
-def _load_prepared(path, stop_words_path):
-    stop_words = (None if stop_words_path is None
-                  else read_stop_words(stop_words_path))
-    return prepare_aliases(read_aliases(path), stop_words)
+def _load_prepared(args):
+    """The aliases of a command with the shared input options, cleaned."""
+    stop_words = (None if args.stop_words is None
+                  else read_stop_words(args.stop_words))
+    return prepare_aliases(read_aliases(args.aliases), stop_words)
 
 
 def cmd_disambiguate(args) -> int:
-    aliases = _load_prepared(args.aliases, args.stop_words)
+    aliases = _load_prepared(args)
+    # None marks an option left out, which `simple` warns about
     if args.method == "simple" and (args.threshold is not None
                                     or args.measure is not None):
         print("warning: method 'simple' ignores --threshold and --measure",
               file=sys.stderr)
-    cfg = _matcher_config(args)
+    cfg = MatcherConfig(
+        threshold=(DEFAULT_CONFIG.threshold if args.threshold is None
+                   else args.threshold),
+        measure=(DEFAULT_CONFIG.measure if args.measure is None
+                 else Measure.from_token(args.measure)),
+        min_len=args.min_len)
     start = time.perf_counter()
     partition = disambiguate(aliases, args.method, cfg, workers=args.threads)
     elapsed = time.perf_counter() - start
@@ -117,7 +112,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    aliases = _load_prepared(args.aliases, args.stop_words)
+    aliases = _load_prepared(args)
     truth = read_partition(args.truth)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     measures = [Measure.from_token(tok.strip())
@@ -130,7 +125,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_triage(args) -> int:
-    aliases = _load_prepared(args.aliases, args.stop_words)
+    aliases = _load_prepared(args)
     # triage_rows checks the cutoff before write_triage opens a file
     counts = write_triage(triage_rows(aliases, args.differ_cutoff),
                           args.out_prefix)
@@ -147,7 +142,29 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _add_matcher_options(p):
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="dealias",
+                     description="Resolve author aliases (name/email pairs) "
+                                 "to unique identities.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    # options shared by several commands, each declared once
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("aliases", help="alias CSV (id,name,email)")
+    inputs.add_argument("--stop-words", default=None, metavar="FILE",
+                        help="replace the built-in stop-word list "
+                             "(one token per line, '#' comments)")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--min-len", type=int, default=DEFAULT_CONFIG.min_len,
+                     help="strings shorter than this never match "
+                          f"(default {DEFAULT_CONFIG.min_len})")
+    run.add_argument("--threads", type=int, default=1,
+                     help="worker processes for the pair scan, at most one "
+                          "per core (default 1)")
+
+    p = sub.add_parser("disambiguate", parents=[inputs, run],
+                       help="group aliases into authors")
+    p.add_argument("-o", "--output", default=None,
+                   help="partition CSV to write (default stdout)")
     p.add_argument("--method", choices=METHODS, default=DEFAULT_METHOD)
     p.add_argument("--measure", choices=[m.value for m in Measure],
                    default=None,
@@ -156,38 +173,6 @@ def _add_matcher_options(p):
     p.add_argument("--threshold", type=float, default=None,
                    help="match decision threshold "
                         f"(default {DEFAULT_CONFIG.threshold})")
-
-
-def _add_common_input_options(p):
-    p.add_argument("--stop-words", default=None, metavar="FILE",
-                   help="replace the built-in stop-word list "
-                        "(one token per line, '#' comments)")
-
-
-def _add_run_options(p):
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for the pair scan, at most one "
-                        "per core (default 1)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="dealias",
-                     description="Resolve author aliases (name/email pairs) "
-                                 "to unique identities.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    min_len = argparse.ArgumentParser(add_help=False)
-    min_len.add_argument("--min-len", type=int, default=DEFAULT_CONFIG.min_len,
-                         help="strings shorter than this never match "
-                              f"(default {DEFAULT_CONFIG.min_len})")
-
-    p = sub.add_parser("disambiguate", parents=[min_len],
-                       help="group aliases into authors")
-    p.add_argument("aliases", help="alias CSV (id,name,email)")
-    p.add_argument("-o", "--output", default=None,
-                   help="partition CSV to write (default stdout)")
-    _add_matcher_options(p)
-    _add_common_input_options(p)
-    _add_run_options(p)
     p.set_defaults(func=cmd_disambiguate)
 
     p = sub.add_parser("evaluate", help="score a partition against truth")
@@ -195,9 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("truth", help="ground-truth partition CSV")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep", parents=[min_len],
+    p = sub.add_parser("sweep", parents=[inputs, run],
                        help="evaluate a grid of methods/measures/thresholds")
-    p.add_argument("aliases", help="alias CSV (id,name,email)")
     p.add_argument("truth", help="ground-truth partition CSV")
     p.add_argument("-o", "--output", default=None,
                    help="sweep CSV to write (default stdout)")
@@ -209,20 +193,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", default=str(DEFAULT_CONFIG.threshold),
                    help="comma list '0.9,0.95' or inclusive range "
                         "'0.5:1.0:0.05' of at most 1001 values")
-    _add_common_input_options(p)
-    _add_run_options(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("triage",
+    p = sub.add_parser("triage", parents=[inputs],
                        help="pre-label alias pairs for manual review")
-    p.add_argument("aliases", help="alias CSV (id,name,email)")
     p.add_argument("--out-prefix", required=True,
                    help="writes <prefix>_match.csv, <prefix>_differ.csv, "
                         "<prefix>_undecided.csv")
-    p.add_argument("--differ-cutoff", type=float, default=0.5,
+    p.add_argument("--differ-cutoff", type=float,
+                   default=DEFAULT_DIFFER_CUTOFF,
                    help="auto-differ when both name and email similarity "
-                        "fall below this (default 0.5)")
-    _add_common_input_options(p)
+                        f"fall below this (default {DEFAULT_DIFFER_CUTOFF})")
     p.set_defaults(func=cmd_triage)
 
     p = sub.add_parser("extract",
@@ -244,7 +225,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (DealiasError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # DealiasError is a ValueError
         print(f"dealias: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:

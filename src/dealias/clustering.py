@@ -23,6 +23,7 @@ from .rules import (DEFAULT_CONFIG, MatcherConfig, gambit_rule_score,
                     gated_similarity)
 
 METHODS = ("gambit", "simple", "bird")
+DEFAULT_METHOD = "gambit"
 
 # below this row count extra worker processes cost more than they save
 _WORKERS_MIN_ALIASES = 512
@@ -159,7 +160,7 @@ def _check_method(method: str) -> None:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def pair_score(a: Alias, b: Alias, method: str = "gambit",
+def pair_score(a: Alias, b: Alias, method: str = DEFAULT_METHOD,
                cfg: MatcherConfig = DEFAULT_CONFIG) -> float:
     """The score of a pair under ``method``: the pair matches at threshold
     t exactly when its score is >= t.
@@ -230,7 +231,7 @@ def _in_stripes(aliases: list[Alias], method: str, cfg: MatcherConfig,
     return _scan_rows(aliases, method, cfg, partners, rows)
 
 
-def scored_pairs(aliases: list[Alias], method: str = "gambit",
+def scored_pairs(aliases: list[Alias], method: str = DEFAULT_METHOD,
                  cfg: MatcherConfig = DEFAULT_CONFIG,
                  workers: int = 1) -> list[tuple[float, int, int]]:
     """(score, i, j), in (i, j) order, for every pair i < j whose
@@ -247,7 +248,7 @@ def scored_pairs(aliases: list[Alias], method: str = "gambit",
     return _in_stripes(aliases, method, cfg, partners, workers)
 
 
-def matched_pairs(aliases: list[Alias], method: str = "gambit",
+def matched_pairs(aliases: list[Alias], method: str = DEFAULT_METHOD,
                   cfg: MatcherConfig = DEFAULT_CONFIG,
                   workers: int = 1) -> list[tuple[int, int]]:
     """All matching index pairs (i, j) with i < j, in that order: the pairs
@@ -279,7 +280,7 @@ def _check_same_ids(ids: Iterable[str], other: Iterable[str], name: str,
             f"{len(other - ids)} only in {other_name}")
 
 
-def disambiguate(aliases: list[Alias], method: str = "gambit",
+def disambiguate(aliases: list[Alias], method: str = DEFAULT_METHOD,
                  cfg: MatcherConfig = DEFAULT_CONFIG,
                  workers: int = 1) -> Partition:
     """Group aliases into authors: match all pairs, then take the

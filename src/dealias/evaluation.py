@@ -8,13 +8,16 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .clustering import (Partition, _alias_ids, _check_method,
-                         _check_same_ids, _DisjointSet, disambiguate,
-                         scored_pairs)
+from .clustering import (DEFAULT_METHOD, Partition, _alias_ids,
+                         _check_method, _check_same_ids, _DisjointSet,
+                         disambiguate, scored_pairs)
 from .normalize import Alias
 from .rules import DEFAULT_CONFIG, MatcherConfig
 from .similarity import LevenshteinRows, Measure, edit_budget
 from .storage import write_csv
+
+# triage: auto-differ when both name and email similarity fall below this
+DEFAULT_DIFFER_CUTOFF = 0.5
 
 
 @dataclass(frozen=True)
@@ -75,9 +78,9 @@ class SweepRow:
 
 
 def sweep(aliases: list[Alias], truth: Partition,
-          methods: Sequence[str] = ("gambit",),
-          measures: Sequence[Measure] = (Measure.LEVENSHTEIN,),
-          thresholds: Sequence[float] = (0.95,),
+          methods: Sequence[str] = (DEFAULT_METHOD,),
+          measures: Sequence[Measure] = (DEFAULT_CONFIG.measure,),
+          thresholds: Sequence[float] = (DEFAULT_CONFIG.threshold,),
           min_len: int = DEFAULT_CONFIG.min_len,
           workers: int = 1) -> list[SweepRow]:
     """Score one disambiguation per (method, measure, threshold) against the
@@ -207,7 +210,8 @@ class TriageResult:
     undecided: tuple[tuple[str, str], ...]
 
 
-def triage_rows(aliases: list[Alias], differ_cutoff: float = 0.5
+def triage_rows(aliases: list[Alias],
+                differ_cutoff: float = DEFAULT_DIFFER_CUTOFF
                 ) -> Iterator[tuple[str, list[str], list[str], list[str]]]:
     """Decide every pair of aliases, one alias at a time.
 
@@ -277,7 +281,8 @@ def _triage_rows(aliases: list[Alias], differ_cutoff: float
         yield ids[i], match, differ, undecided
 
 
-def triage(aliases: list[Alias], differ_cutoff: float = 0.5) -> TriageResult:
+def triage(aliases: list[Alias],
+           differ_cutoff: float = DEFAULT_DIFFER_CUTOFF) -> TriageResult:
     """Every pair of :func:`triage_rows`, held: obvious matches, obvious
     non-matches and the rest, each written ``(id_a, id_b)`` with
     ``id_a < id_b`` and in ascending order. It raises as

@@ -73,12 +73,10 @@ def needles(x: Alias, min_len: int) -> tuple[tuple[str, str] | None, ...]:
     if not (first and last):
         return None, None, None
     initial_last, first_initial = first[0] + last, first + last[0]
-    if len(first) >= min_len and len(last) >= min_len:
-        # the usual case: the glued needles are longer still
-        return (initial_last, ""), (first_initial, ""), (last, first)
     return ((initial_last, "") if len(initial_last) >= min_len else None,
             (first_initial, "") if len(first_initial) >= min_len else None,
-            None)
+            (last, first) if len(first) >= min_len and len(last) >= min_len
+            else None)
 
 
 def score_pair(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> tuple[float, ...]:
@@ -137,8 +135,8 @@ def exact_rules(a: Alias, b: Alias, m: int) -> tuple[float, ...]:
     """Rules 1, 5, 6, 7 and 8 of :func:`score_pair`, in that order:
     equality and containment, each 0 or its weight, with ``m`` the
     ``min_len`` gate. Bird's containment conditions are rules 5-7."""
-    r_name_eq = (1.0 if len(a.name) >= m and len(b.name) >= m
-                 and a.name == b.name else 0.0)
+    # equal strings have equal lengths, so one length gates each equality
+    r_name_eq = 1.0 if a.name == b.name and len(a.name) >= m else 0.0
     base_a, base_b = a.email_base, b.email_base
     a5, a6, a7 = needles(a, m)
     b5, b6, b7 = needles(b, m)
@@ -151,8 +149,7 @@ def exact_rules(a: Alias, b: Alias, m: int) -> tuple[float, ...]:
     r_both_in_base = 2.0 if ((a7 and a7[0] in base_b and a7[1] in base_b)
                              or (b7 and b7[0] in base_a and b7[1] in base_a)
                              ) else 0.0
-    r_email_eq = (2.0 if len(a.email) >= m and len(b.email) >= m
-                  and a.email == b.email else 0.0)
+    r_email_eq = 2.0 if a.email == b.email and len(a.email) >= m else 0.0
     return (r_name_eq, r_initial_last, r_first_initial, r_both_in_base,
             r_email_eq)
 

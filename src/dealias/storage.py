@@ -59,8 +59,10 @@ def _read_rows(path, header: list[str],
     ends on: a quoted field may span lines.
 
     Raises ``error``, naming the line, on a header other than ``header``, a
-    record with another number of fields, bytes that are not UTF-8, or a
-    record the CSV reader rejects (a field over its size limit, say).
+    record with another number of fields, bytes that are not UTF-8, a NUL,
+    or a record the CSV reader rejects (a field over its size limit, say).
+    A NUL is rejected here in the words of the CSV reader of Python 3.10,
+    which rejects it itself, so every version gives the same message.
     """
     with _text_input(path, error) as fh:
         reader = csv.reader(fh)
@@ -72,6 +74,8 @@ def _read_rows(path, header: list[str],
             for row in reader:
                 if not row:
                     continue
+                if "\0" in "".join(row):
+                    raise error(f"{path}:{reader.line_num}: line contains NUL")
                 if len(row) != len(header):
                     raise error(f"{path}:{reader.line_num}: expected "
                                 f"{len(header)} fields, got {len(row)}")
@@ -200,7 +204,9 @@ def extract_from_log(stream: IO[str]) -> list[RawAlias]:
     """Collect distinct name/email pairs from tab-separated log lines.
 
     Each useful line is ``name<TAB>email``; splitting happens at the first
-    tab. Duplicate pairs are kept once (first occurrence order). Lines
+    tab. A NUL becomes U+FFFD, as a byte that is not UTF-8 does in
+    :func:`read_log`, since the alias file readers reject a NUL. Duplicate
+    pairs are kept once (first occurrence order). Lines
     without a tab are skipped and counted in a single warning. Ids are
     synthesized as a0001, a0002, ... in order of first appearance, padded
     to four digits and no wider: past a9999 come a10000, a10001, ..., which
@@ -211,7 +217,7 @@ def extract_from_log(stream: IO[str]) -> list[RawAlias]:
     seen: dict[tuple[str, str], None] = {}
     skipped = 0
     for line in stream:
-        line = line.rstrip("\r\n")
+        line = line.rstrip("\r\n").replace("\0", "\ufffd")
         name, sep, email = line.partition("\t")
         if not sep:
             skipped += 1

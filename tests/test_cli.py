@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import itertools
 import os
@@ -11,8 +12,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dealias import RawAlias, prepare_aliases, read_aliases, triage
-from dealias.cli import main, parse_thresholds
+from dealias import (Measure, MatcherConfig, RawAlias, disambiguate,
+                     prepare_aliases, read_aliases, read_partition, sweep,
+                     triage, triage_rows)
+from dealias import cli
+from dealias.cli import build_parser, main, parse_thresholds
+from dealias.clustering import DEFAULT_METHOD
+from dealias.evaluation import DEFAULT_DIFFER_CUTOFF
+from dealias.rules import DEFAULT_CONFIG
 from oracles import lev_similarity_matrix, triage_reference
 
 DATA = Path(__file__).parent / "data"
@@ -136,9 +143,34 @@ def test_disambiguate_evaluate_round_trip(tmp_path, capsys):
 
 def test_simple_with_threshold_warns(tmp_path, capsys):
     part = tmp_path / "part.csv"
+    for option in (["--threshold", "0.9"], ["--measure", "jw"]):
+        assert run_cli("disambiguate", FIXTURE_ALIASES, "-o", str(part),
+                       "--method", "simple", *option) == 0
+        assert "ignores" in capsys.readouterr().err
+
+
+def test_disambiguate_measure_jw_is_the_library_partition(tmp_path, capsys):
+    part = tmp_path / "part.csv"
     assert run_cli("disambiguate", FIXTURE_ALIASES, "-o", str(part),
-                   "--method", "simple", "--threshold", "0.9") == 0
-    assert "ignores" in capsys.readouterr().err
+                   "--measure", "jw") == 0
+    aliases = prepare_aliases(read_aliases(FIXTURE_ALIASES))
+    jw = disambiguate(aliases,
+                      cfg=MatcherConfig(measure=Measure.JARO_WINKLER))
+    assert read_partition(str(part)) == jw
+    # the fixture tells the measures apart at the default threshold
+    assert jw != disambiguate(aliases)
+    capsys.readouterr()
+
+
+def test_unexpected_exception_exits_3_with_a_traceback(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("not an input error")
+
+    monkeypatch.setattr(cli, "disambiguate", fail)
+    assert run_cli("disambiguate", FIXTURE_ALIASES) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert "RuntimeError: not an input error" in err
 
 
 def test_sweep_writes_csv(tmp_path, capsys):
@@ -210,12 +242,56 @@ def test_evaluate_partitions_of_other_ids_exits_2(tmp_path, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("command", ["disambiguate", "sweep"])
-def test_min_len_has_its_help_text(command, capsys):
+_SHARED_OPTION_HELP = {
+    "--min-len": "--min-len MIN_LEN strings shorter than this never match "
+                 "(default 3)",
+    "--threads": "--threads THREADS worker processes for the pair scan, at "
+                 "most one per core (default 1)",
+    "--stop-words": "--stop-words FILE replace the built-in stop-word list "
+                    "(one token per line, '#' comments)",
+}
+
+
+@pytest.mark.parametrize("command, option", [
+    pytest.param("disambiguate", "--min-len", id="disambiguate"),
+    pytest.param("sweep", "--min-len", id="sweep"),
+    pytest.param("disambiguate", "--threads", id="disambiguate-threads"),
+    pytest.param("sweep", "--threads", id="sweep-threads"),
+    pytest.param("disambiguate", "--stop-words", id="disambiguate-stop-words"),
+    pytest.param("sweep", "--stop-words", id="sweep-stop-words"),
+    pytest.param("triage", "--stop-words", id="triage-stop-words")])
+def test_min_len_has_its_help_text(command, option, capsys):
     assert run_cli(command, "--help") == 0
     help_text = " ".join(capsys.readouterr().out.split())
-    assert ("--min-len MIN_LEN strings shorter than this never match "
-            "(default 3)") in help_text
+    assert _SHARED_OPTION_HELP[option] in help_text
+
+
+def test_triage_help_shows_the_default_cutoff(capsys):
+    assert run_cli("triage", "--help") == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"fall below this (default {DEFAULT_DIFFER_CUTOFF})" in help_text
+
+
+def test_library_defaults_are_the_cli_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["disambiguate", "a.csv"])
+    library = inspect.signature(disambiguate).parameters
+    assert args.method == library["method"].default == DEFAULT_METHOD
+    assert library["cfg"].default is DEFAULT_CONFIG
+    assert args.min_len == DEFAULT_CONFIG.min_len
+    args = parser.parse_args(["sweep", "a.csv", "t.csv"])
+    library = inspect.signature(sweep).parameters
+    assert args.methods.split(",") == list(library["methods"].default)
+    assert ([Measure.from_token(token) for token in args.measures.split(",")]
+            == list(library["measures"].default))
+    assert (parse_thresholds(args.thresholds)
+            == list(library["thresholds"].default))
+    assert args.min_len == library["min_len"].default
+    args = parser.parse_args(["triage", "a.csv", "--out-prefix", "t"])
+    for function in (triage_rows, triage):
+        assert (args.differ_cutoff == DEFAULT_DIFFER_CUTOFF
+                == inspect.signature(function).parameters[
+                    "differ_cutoff"].default)
 
 
 def test_input_not_utf8_exits_2(tmp_path, capsys):
@@ -229,22 +305,29 @@ def test_input_not_utf8_exits_2(tmp_path, capsys):
     assert f"{truth}:2: not valid UTF-8" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["disambiguate", "evaluate", "sweep"])
-def test_csv_field_over_the_size_limit_exits_2(command, tmp_path, capsys):
-    # the csv module rejects a field longer than csv.field_size_limit();
-    # line 3 of an alias, a partition and a truth file holds one
+@pytest.mark.parametrize("command, field, reason", [
+    pytest.param(command, field, reason, id=command + suffix)
+    for suffix, field, reason in [
+        ("", "x" * (csv.field_size_limit() + 1),
+         "field larger than field limit"),
+        ("-nul", "A\0nn", "line contains NUL")]
+    for command in ("disambiguate", "evaluate", "sweep")])
+def test_csv_field_over_the_size_limit_exits_2(command, field, reason,
+                                                tmp_path, capsys):
+    # the csv module rejects a field longer than csv.field_size_limit(),
+    # and the reader a NUL on every Python version; line 3 of an alias, a
+    # partition and a truth file holds one
     bad = tmp_path / "bad.csv"
-    long = "x" * (csv.field_size_limit() + 1)
     if command == "disambiguate":
-        bad.write_text(f"id,name,email\na1,Ann,ann@x\na2,{long},b@y\n")
+        bad.write_text(f"id,name,email\na1,Ann,ann@x\na2,{field},b@y\n")
         argv = [str(bad)]
     else:
-        bad.write_text(f"alias_id,author_id\na1,u1\na2,{long}\n")
+        bad.write_text(f"alias_id,author_id\na1,u1\na2,{field}\n")
         argv = ([str(bad), FIXTURE_TRUTH] if command == "evaluate"
                 else [FIXTURE_ALIASES, str(bad)])
     assert run_cli(command, *argv) == 2
     err = capsys.readouterr().err
-    assert f"{bad}:3: field larger than field limit" in err
+    assert f"{bad}:3: {reason}" in err
     assert "Traceback" not in err
 
 
@@ -291,6 +374,26 @@ def test_extract_subcommand(tmp_path, capsys):
     assert lines[2] == "a0002,Jane Roe,jroe@home.org"
     assert len(lines) == 3
     assert "2 distinct aliases" in capsys.readouterr().err
+
+
+def test_extract_writes_a_nul_as_u_fffd(tmp_path, capsys):
+    # a NUL cleans away as U+FFFD does, so the log's partition is that of
+    # the same log without it
+    partitions = []
+    for name, written in (("Ann\0 Lee", "Ann\ufffd Lee"),
+                          ("Ann Lee", "Ann Lee")):
+        log = tmp_path / "log.txt"
+        log.write_text(f"{name}\tann@x.org\nAnn Lee\tann@y.org\n"
+                       "Bob Roe\tbob@z.net\n", encoding="utf-8")
+        aliases, part = tmp_path / "a.csv", tmp_path / "p.csv"
+        assert run_cli("extract", str(log), "-o", str(aliases)) == 0
+        assert aliases.read_text(encoding="utf-8").splitlines()[1] == (
+            f"a0001,{written},ann@x.org")
+        assert run_cli("disambiguate", str(aliases), "-o", str(part)) == 0
+        partitions.append(part.read_text())
+    assert partitions == ["alias_id,author_id\na0001,a0001\na0002,a0001\n"
+                          "a0003,a0003\n"] * 2
+    capsys.readouterr()
 
 
 def test_stop_words_flag(tmp_path, capsys):
