@@ -4,7 +4,8 @@ Subcommands: ``disambiguate`` (aliases -> partition), ``evaluate``
 (partition vs truth), ``sweep`` (grid of methods/measures/thresholds),
 ``triage`` (pre-label pairs for review), ``extract`` (log -> alias CSV).
 
-Exit codes: 0 success, 1 usage error, 2 bad input data, 3 internal error.
+Exit codes: 0 success, 1 usage error, 2 bad input data, 3 internal error,
+141 standard output closed by its reader.
 """
 
 from __future__ import annotations
@@ -21,13 +22,15 @@ from .evaluation import (DEFAULT_DIFFER_CUTOFF, evaluate, sweep, triage_rows,
 from .normalize import prepare_aliases
 from .rules import DEFAULT_CONFIG, MatcherConfig
 from .similarity import Measure
-from .storage import (read_aliases, read_log, read_partition, read_stop_words,
-                      write_aliases, write_partition, write_triage)
+from .storage import (discard_stdout, read_aliases, read_log, read_partition,
+                      read_stop_words, write_aliases, write_partition,
+                      write_triage)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141  # what a shell reports for a filter ended by SIGPIPE
 
 # the most values a threshold range may hold: a 0.001 step over [0, 1]
 _MAX_THRESHOLDS = 1001
@@ -159,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                           f"(default {DEFAULT_CONFIG.min_len})")
     run.add_argument("--threads", type=int, default=1,
                      help="worker processes for the pair scan, at most one "
-                          "per core (default 1)")
+                          "per core (default 1); must be at least 1")
 
     p = sub.add_parser("disambiguate", parents=[inputs, run],
                        help="group aliases into authors")
@@ -224,7 +227,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help exits 0, usage errors exit 1
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # here, where a closed pipe is caught
+        return status
+    except BrokenPipeError:  # the reader of standard output has gone
+        discard_stdout()
+        return EXIT_PIPE
     except (OSError, ValueError) as exc:  # DealiasError is a ValueError
         print(f"dealias: error: {exc}", file=sys.stderr)
         return EXIT_INPUT

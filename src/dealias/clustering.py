@@ -160,6 +160,11 @@ def _check_method(method: str) -> None:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def pair_score(a: Alias, b: Alias, method: str = DEFAULT_METHOD,
                cfg: MatcherConfig = DEFAULT_CONFIG) -> float:
     """The score of a pair under ``method``: the pair matches at threshold
@@ -241,9 +246,10 @@ def scored_pairs(aliases: list[Alias], method: str = DEFAULT_METHOD,
     scored; they provably include every pair that reaches the threshold.
     ``workers`` > 1 splits the rows across processes; the candidate index is
     built once, before the workers fork. The result is the same for any
-    worker count.
+    worker count. Raises ``ValueError`` on ``workers`` below 1.
     """
     _check_method(method)
+    _check_workers(workers)
     partners = candidate_partners(aliases, method, cfg)
     return _in_stripes(aliases, method, cfg, partners, workers)
 

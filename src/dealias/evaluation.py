@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .clustering import (DEFAULT_METHOD, Partition, _alias_ids,
-                         _check_method, _check_same_ids, _DisjointSet,
-                         disambiguate, scored_pairs)
+                         _check_method, _check_same_ids, _check_workers,
+                         _DisjointSet, disambiguate, scored_pairs)
 from .normalize import Alias
 from .rules import DEFAULT_CONFIG, MatcherConfig
 from .similarity import LevenshteinRows, Measure, edit_budget
@@ -98,9 +98,9 @@ def sweep(aliases: list[Alias], truth: Partition,
     and evaluation. So the rows add up to the sweep's time.
 
     Before any scan, raises ``ValueError`` on no or an unknown method, no
-    measure for a method that uses one, or no or an out-of-range threshold,
-    and :class:`UniverseMismatchError` unless the truth labels exactly the
-    aliases' ids.
+    measure for a method that uses one, no or an out-of-range threshold, or
+    ``workers`` below 1, and :class:`UniverseMismatchError` unless the truth
+    labels exactly the aliases' ids.
     """
     methods = list(dict.fromkeys(methods))
     measures = list(dict.fromkeys(measures))
@@ -108,6 +108,7 @@ def sweep(aliases: list[Alias], truth: Partition,
         raise ValueError("no methods given")
     for method in methods:
         _check_method(method)
+    _check_workers(workers)
     if not measures and any(method != "simple" for method in methods):
         raise ValueError("no measures given")
     thresholds = sorted(set(thresholds))

@@ -5,8 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import os
 import sys
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack, closing, contextmanager, nullcontext
 from itertools import repeat
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -22,64 +23,50 @@ PAIR_HEADER = ["id_a", "id_b"]
 TRIAGE_FILES = ("match", "differ", "undecided")
 
 
-def _undecodable_line(path) -> int:
-    """Number of the first line of ``path`` that is not valid UTF-8.
-
-    Lines are decoded one at a time: no byte of a multi-byte UTF-8
-    sequence is a line break, so a line decodes on its own exactly when it
-    decodes inside the whole file.
-    """
+def _text_lines(path, error: type[Exception]) -> Iterator[str]:
+    """The lines of the UTF-8 file at ``path``, read once, each decoded and
+    checked on its own and kept with its end: ``\\n``, ``\\r\\n`` or a lone
+    ``\\r``, as with ``newline=""``. A byte-order mark on line 1 is dropped.
+    No byte of a multi-byte UTF-8 sequence is a line break, so a line
+    decodes alone exactly when it decodes inside the file. Raises ``error``
+    as ``file:line: not valid UTF-8`` or ``file:line: line contains NUL``,
+    the words of the CSV reader of Python 3.10, which rejects a NUL."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    for line_no, line in enumerate(data.splitlines(), start=1):
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError:
-            return line_no
-    return 1  # not reached for a file the text reader rejected
-
-
-@contextmanager
-def _text_input(path, error: type[Exception]) -> Iterator[IO[str]]:
-    """The file at ``path`` open for reading UTF-8 text, a byte-order mark
-    dropped and line ends kept as they are. A byte that is not UTF-8
-    raises ``error`` as ``file:line: not valid UTF-8``."""
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            yield fh
-    except UnicodeDecodeError:
-        raise error(
-            f"{path}:{_undecodable_line(path)}: not valid UTF-8") from None
+        # iteration ends a line at b"\n" only; splitlines also at b"\r"
+        raws = (raw for chunk in fh for raw in chunk.splitlines(True))
+        for line_no, raw in enumerate(raws, start=1):
+            try:
+                line = raw.decode("utf-8-sig" if line_no == 1 else "utf-8")
+            except UnicodeDecodeError:
+                raise error(f"{path}:{line_no}: not valid UTF-8") from None
+            if "\0" in line:
+                raise error(f"{path}:{line_no}: line contains NUL")
+            yield line
 
 
 def _read_rows(path, header: list[str],
                error: type[Exception]) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line, row)`` for each record of the CSV file at ``path``
     after its header, skipping blank lines. ``line`` is the line the record
-    ends on: a quoted field may span lines.
-
+    starts on, which holds its first field: a quoted field may span lines.
     Raises ``error``, naming the line, on a header other than ``header``, a
-    record with another number of fields, bytes that are not UTF-8, a NUL,
-    or a record the CSV reader rejects (a field over its size limit, say).
-    A NUL is rejected here in the words of the CSV reader of Python 3.10,
-    which rejects it itself, so every version gives the same message.
-    """
-    with _text_input(path, error) as fh:
-        reader = csv.reader(fh)
+    record with another number of fields, a line :func:`_text_lines`
+    rejects, or a field over the CSV reader's size limit."""
+    with closing(_text_lines(path, error)) as lines:
+        reader = csv.reader(lines)
         try:
             first = next(reader, None)
             if first is None or [h.strip() for h in first] != header:
                 raise error(f"{path}:1: expected header "
                             f"{','.join(header)!r}, got {first!r}")
+            start = reader.line_num + 1
             for row in reader:
-                if not row:
-                    continue
-                if "\0" in "".join(row):
-                    raise error(f"{path}:{reader.line_num}: line contains NUL")
-                if len(row) != len(header):
-                    raise error(f"{path}:{reader.line_num}: expected "
-                                f"{len(header)} fields, got {len(row)}")
-                yield reader.line_num, row
+                if row:
+                    if len(row) != len(header):
+                        raise error(f"{path}:{start}: expected "
+                                    f"{len(header)} fields, got {len(row)}")
+                    yield start, row
+                start = reader.line_num + 1
         except csv.Error as exc:
             raise error(f"{path}:{reader.line_num}: {exc}") from None
 
@@ -88,13 +75,13 @@ def read_stop_words(path) -> frozenset[str]:
     """Load a stop-word list: one word per line, ``#`` starts a comment,
     blank lines are skipped, words are lowercased.
 
-    Raises :class:`StopWordFileError`, naming the line, on bytes that are
-    not UTF-8 and on a word that no cleaned name or email holds as a
-    token: one with whitespace, or one that cleaning would change.
+    Raises :class:`StopWordFileError`, naming the line, on a line
+    :func:`_text_lines` rejects and on a word that no cleaned name or email
+    holds as a token: one with whitespace, or one that cleaning would change.
     """
     words = set()
-    with _text_input(path, StopWordFileError) as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with closing(_text_lines(path, StopWordFileError)) as lines:
+        for line_no, line in enumerate(lines, start=1):
             word = line.split("#", 1)[0].strip().lower()
             if not word:
                 continue
@@ -126,6 +113,14 @@ def _text_output(out) -> Iterator[IO[str]]:
             fh.detach()  # flushes, and leaves sys.stdout open
     else:  # an open stream, or a stdout that holds no bytes (a StringIO)
         yield sys.stdout if out is None else out
+
+
+def discard_stdout() -> None:
+    """Point standard output at the null device: its reader has gone, and
+    what is left in its buffer would fail again when flushed at exit."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def write_csv(header: list[str], rows: Iterable[Iterable], out) -> None:
@@ -165,8 +160,8 @@ def read_aliases(path) -> list[RawAlias]:
     """Load alias records from a CSV file with header ``id,name,email``.
 
     Raises :class:`AliasFileError` (with the offending line number) on a bad
-    header, wrong field count, empty id, duplicate id, or bytes that are
-    not UTF-8.
+    header, wrong field count, empty id, duplicate id, a NUL, or bytes that
+    are not UTF-8.
     """
     records: list[RawAlias] = []
     seen: dict[str, int] = {}

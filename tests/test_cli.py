@@ -310,13 +310,15 @@ def test_input_not_utf8_exits_2(tmp_path, capsys):
     for suffix, field, reason in [
         ("", "x" * (csv.field_size_limit() + 1),
          "field larger than field limit"),
-        ("-nul", "A\0nn", "line contains NUL")]
+        ("-nul", "A\0nn", "line contains NUL"),
+        ("-nul-spanning-lines", '"A\0nn\nLee"', "line contains NUL")]
     for command in ("disambiguate", "evaluate", "sweep")])
 def test_csv_field_over_the_size_limit_exits_2(command, field, reason,
                                                 tmp_path, capsys):
     # the csv module rejects a field longer than csv.field_size_limit(),
     # and the reader a NUL on every Python version; line 3 of an alias, a
-    # partition and a truth file holds one
+    # partition and a truth file holds one, also where the NUL's quoted
+    # field goes on to line 4
     bad = tmp_path / "bad.csv"
     if command == "disambiguate":
         bad.write_text(f"id,name,email\na1,Ann,ann@x\na2,{field},b@y\n")
@@ -329,6 +331,30 @@ def test_csv_field_over_the_size_limit_exits_2(command, field, reason,
     err = capsys.readouterr().err
     assert f"{bad}:3: {reason}" in err
     assert "Traceback" not in err
+
+
+def test_stray_quote_is_named_on_its_own_line(tmp_path, capsys):
+    # the quoted field swallows lines 3 and 4, and the record starts on 2
+    bad = tmp_path / "quote.csv"
+    bad.write_text('id,name,email\na1,"Ann,ann@x\na2,Bob,b@y\na3,Cy,c@z\n')
+    assert run_cli("disambiguate", str(bad)) == 2
+    assert f"{bad}:2: expected 3 fields, got 2" in capsys.readouterr().err
+
+
+def test_stop_words_holding_a_nul_exit_2(tmp_path, capsys):
+    stop = tmp_path / "stop.txt"
+    stop.write_bytes(b"doe\nsm\0ith\n")
+    assert run_cli("disambiguate", FIXTURE_ALIASES,
+                   "--stop-words", str(stop)) == 2
+    assert f"{stop}:2: line contains NUL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["disambiguate", "sweep"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_1_exit_2(command, threads, capsys):
+    argv = [FIXTURE_ALIASES] + ([FIXTURE_TRUTH] if command == "sweep" else [])
+    assert run_cli(command, *argv, "--threads", threads) == 2
+    assert f"workers must be >= 1, got {threads}" in capsys.readouterr().err
 
 
 def test_stop_words_not_utf8_exits_2(tmp_path, capsys):
@@ -440,7 +466,7 @@ def test_stdout_equals_output_file(command, tmp_path, capsysbinary):
     log = tmp_path / "log.txt"
     log.write_bytes('\ufeffJosé Ñúñez\tjn@x.org\r\n"Lee, Ann"\t李@y\n'
                     .encode("utf-8"))
-    argv = {"disambiguate": [command, FIXTURE_ALIASES, "--threads", "0"],
+    argv = {"disambiguate": [command, FIXTURE_ALIASES, "--threads", "1"],
             "extract": [command, str(log)],
             "sweep": [command, FIXTURE_ALIASES, FIXTURE_TRUTH, "--methods",
                       "gambit,simple", "--thresholds", "0.9,0.95"]}[command]
@@ -476,6 +502,45 @@ def test_extract_reads_stdin_as_it_reads_a_file(tmp_path):
                            capture_output=True)
     assert piped.returncode == 0, piped.stderr
     assert piped.stdout == expected
+
+
+def test_output_piped_to_a_reader_that_stops_exits_141(tmp_path):
+    # like `dealias extract big.log | head -n 1`: 141 is what a shell
+    # reports for a filter ended by SIGPIPE, and no error is printed
+    log = tmp_path / "big.log"
+    log.write_text("".join(f"Person {k}\tp{k}@example.org\n"
+                           for k in range(20_000)))
+    with subprocess.Popen([sys.executable, "-m", "dealias", "extract",
+                           str(log)], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"id,name,email\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141, err
+    assert "error" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", FIXTURE_TRUTH, FIXTURE_TRUTH],
+    ["disambiguate", FIXTURE_ALIASES],
+    ["triage", FIXTURE_ALIASES, "--out-prefix", "{tmp}/t"]],
+    ids=lambda argv: argv[0])
+def test_output_pipe_closed_before_the_first_write_exits_141(argv, tmp_path):
+    # buffered output, flushed after the command, fails on the closed pipe
+    # too; with Python's own buffering, not the unbuffered mode
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dealias",
+             *(arg.format(tmp=tmp_path) for arg in argv)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_console_script_runs():

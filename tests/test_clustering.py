@@ -245,6 +245,16 @@ def test_workers_do_not_change_result():
     assert p1 == p4
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_1_raise(workers):
+    # no silent one-worker fallback, in the words MatcherConfig uses
+    aliases = random_corpus(seed=11, n=10)
+    for method in METHODS:
+        with pytest.raises(ValueError,
+                           match=f"workers must be >= 1, got {workers}"):
+            scored_pairs(aliases, method, MatcherConfig(), workers)
+
+
 class _InProcessPool:
     """Stands in for a process pool: records its size, maps in this
     process."""

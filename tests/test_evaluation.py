@@ -262,7 +262,8 @@ def test_sweep_thresholds_sorted_and_validated():
 def test_sweep_checks_every_method_before_a_scan():
     aliases = random_corpus(seed=5, n=10)
     truth = Partition({a.id: a.id for a in aliases})
-    with mock.patch("dealias.evaluation.scored_pairs") as scan:
+    with mock.patch("dealias.evaluation.scored_pairs") as scan, \
+            mock.patch("dealias.evaluation.disambiguate") as simple:
         with pytest.raises(ValueError, match="unknown method 'nope'"):
             sweep(aliases, truth, methods=("gambit", "nope"))
         with pytest.raises(ValueError, match="no methods"):
@@ -279,7 +280,10 @@ def test_sweep_checks_every_method_before_a_scan():
         with pytest.raises(UniverseMismatchError, match="0 are only in the "
                            "aliases, 1 only in the truth"):
             sweep(aliases, extra, methods=("simple", "gambit"))
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            sweep(aliases, truth, methods=("simple", "gambit"), workers=0)
     scan.assert_not_called()
+    simple.assert_not_called()
 
 
 def test_sweep_scans_each_distinct_method_and_measure_once():

@@ -1,3 +1,4 @@
+import builtins
 import io
 import logging
 import tempfile
@@ -66,7 +67,7 @@ def test_read_aliases_tolerates_bom_and_blank_lines(tmp_path):
 def test_read_aliases_counts_lines_inside_quoted_fields(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text('id,name,email\nx1,"John\nDoe",j@x\nx1,Ann,a@y\n')
-    message = r"dup\.csv:4: duplicate alias id 'x1' \(first seen on line 3\)"
+    message = r"dup\.csv:4: duplicate alias id 'x1' \(first seen on line 2\)"
     with pytest.raises(AliasFileError, match=message):
         read_aliases(path)
 
@@ -76,11 +77,64 @@ def test_read_aliases_names_the_line_that_is_not_utf8(tmp_path):
     path.write_bytes(b"id,name,email\r\na1,Jose,j@x\r\na2,Jos\xe9,j2@x\r\n")
     assert _message(AliasFileError, read_aliases, path) == (
         f"{path}:3: not valid UTF-8")
+    # a lone CR ends a line too
+    path.write_bytes(b"id,name,email\ra1,Jose,j@x\ra2,Jos\xe9,j2@x\r")
+    assert _message(AliasFileError, read_aliases, path) == (
+        f"{path}:3: not valid UTF-8")
     # past the text reader's first block, and after a multi-byte character
     rows = [f"a{k},Jos\u00e9,j{k}@x\n".encode() for k in range(1000)]
     path.write_bytes(b"id,name,email\n" + b"".join(rows) + b"b,\xff,y\n")
     with pytest.raises(AliasFileError, match=":1002: not valid UTF-8"):
         read_aliases(path)
+
+
+def test_a_record_error_names_the_line_the_record_starts_on(tmp_path):
+    # a stray quote swallows the lines after it; the quote is on line 2
+    path = tmp_path / "quote.csv"
+    path.write_text('id,name,email\na1,"Ann,ann@x\na2,Bob,b@y\na3,Cy,c@z\n')
+    assert _message(AliasFileError, read_aliases, path) == (
+        f"{path}:2: expected 3 fields, got 2")
+    # a NUL in a quoted field that spans lines is named on its own line
+    path.write_bytes(b'id,name,email\na1,"A\0nn\nLee",ann@x\n')
+    assert _message(AliasFileError, read_aliases, path) == (
+        f"{path}:2: line contains NUL")
+
+
+@pytest.mark.parametrize("read, error, text, message", [
+    (read_aliases, AliasFileError, b"name,id,email\na1,x,y\n",
+     "1: expected header"),
+    (read_aliases, AliasFileError, b"id,name,email\na1,x,y\na1,z,w\n",
+     "3: duplicate alias id"),
+    (read_aliases, AliasFileError, b"id,name,email\na1,x,y\na2,\xe9,w\n",
+     "3: not valid UTF-8"),
+    (read_aliases, AliasFileError, b"id,name,email\na1,x\0,y\n",
+     "2: line contains NUL"),
+    (read_partition, PartitionFileError, b"alias_id,author_id\na1,\xe9\n",
+     "2: not valid UTF-8"),
+    (read_stop_words, StopWordFileError, b"doe\n\xe9\n",
+     "2: not valid UTF-8"),
+    (read_stop_words, StopWordFileError, b"doe\nvan der\n",
+     "2: stop word")],
+    ids=["header", "duplicate", "utf8", "nul", "partition", "stop-words",
+         "stop-word"])
+def test_a_bad_file_is_opened_once_and_closed(read, error, text, message,
+                                              tmp_path, monkeypatch):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text)
+    handles = []
+
+    def recording_open(*args, **kwargs):
+        handles.append(real_open(*args, **kwargs))
+        return handles[-1]
+
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", recording_open)
+    # closed when the error is raised, not when it is dropped: `info`
+    # still holds the error
+    with pytest.raises(error, match=f"{path.name}:{message}") as info:
+        read(path)
+    assert len(handles) == 1
+    assert handles[0].closed, info
 
 
 def test_read_aliases_missing_file(tmp_path):
