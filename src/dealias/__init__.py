@@ -10,10 +10,10 @@ included, along with a CLI (``dealias --help``).
 
 from .baselines import bird_match, simple_match
 from .clustering import (METHODS, Partition, disambiguate, matched_pairs,
-                         merge_partitions, pair_score, scored_pairs)
+                         pair_score, scored_pairs)
 from .errors import (AliasFileError, DealiasError, DuplicateAliasIdError,
-                     EmptyClusterError, PartitionFileError,
-                     StopWordFileError, UniverseMismatchError)
+                     PartitionFileError, StopWordFileError,
+                     UniverseMismatchError)
 from .evaluation import (EvalReport, SweepRow, TriageResult, cohen_kappa,
                          evaluate, sweep, triage, triage_rows,
                          write_sweep_csv)
@@ -30,15 +30,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alias", "AliasFileError", "DealiasError", "DuplicateAliasIdError",
-    "EmptyClusterError", "EvalReport", "JaroBreakdown", "MatcherConfig",
-    "Measure", "METHODS", "Partition", "PartitionFileError", "RawAlias",
-    "StopWordFileError", "SweepRow", "TriageResult", "UniverseMismatchError",
-    "bird_match", "cohen_kappa", "disambiguate", "evaluate",
-    "extract_entities", "extract_from_log", "is_match", "jaro_breakdown",
+    "EvalReport", "JaroBreakdown", "MatcherConfig", "Measure", "METHODS",
+    "Partition", "PartitionFileError", "RawAlias", "StopWordFileError",
+    "SweepRow", "TriageResult", "UniverseMismatchError", "bird_match",
+    "cohen_kappa", "disambiguate", "evaluate", "extract_entities",
+    "extract_from_log", "is_match", "jaro_breakdown",
     "jaro_winkler_similarity", "levenshtein_distance",
-    "levenshtein_similarity", "matched_pairs", "merge_partitions",
-    "pair_score", "prepare_alias", "prepare_aliases", "preprocess",
-    "read_aliases", "read_partition", "read_stop_words", "score_pair",
-    "scored_pairs", "simple_match", "sweep", "top_two_average", "triage",
-    "triage_rows", "write_aliases", "write_partition", "write_sweep_csv",
+    "levenshtein_similarity", "matched_pairs", "pair_score", "prepare_alias",
+    "prepare_aliases", "preprocess", "read_aliases", "read_partition",
+    "read_stop_words", "score_pair", "scored_pairs", "simple_match", "sweep",
+    "top_two_average", "triage", "triage_rows", "write_aliases",
+    "write_partition", "write_sweep_csv",
 ]

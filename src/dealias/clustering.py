@@ -16,8 +16,7 @@ from typing import Callable, Hashable, Iterable, Mapping
 
 from .baselines import bird_rule_score, simple_match
 from .blocking import candidate_partners
-from .errors import (DuplicateAliasIdError, EmptyClusterError,
-                     UniverseMismatchError)
+from .errors import DuplicateAliasIdError, UniverseMismatchError
 from .normalize import Alias
 from .rules import (DEFAULT_CONFIG, MatcherConfig, gambit_rule_score,
                     gated_similarity)
@@ -48,37 +47,9 @@ class Partition:
             for alias_id in members:
                 self._assignment[alias_id] = label
 
-    @classmethod
-    def from_clusters(cls, clusters: Iterable[Iterable[str]]) -> "Partition":
-        position_of: dict[str, int] = {}
-        for position, members in enumerate(clusters):
-            members = list(members)
-            if not members:
-                raise EmptyClusterError(
-                    f"cluster at position {position} (counting from 0) "
-                    f"has no members")
-            for alias_id in members:
-                if alias_id in position_of:
-                    first = position_of[alias_id]
-                    where = (f"twice in the cluster at position {position}"
-                             if first == position else
-                             f"in the clusters at positions {first} and "
-                             f"{position}")
-                    raise DuplicateAliasIdError(
-                        f"alias id {alias_id!r} appears {where} "
-                        f"(counting from 0)")
-                position_of[alias_id] = position
-        return cls(position_of)
-
     @property
     def assignment(self) -> dict[str, str]:
         return dict(self._assignment)
-
-    def author_of(self, alias_id: str) -> str:
-        return self._assignment[alias_id]
-
-    def same_author(self, id_a: str, id_b: str) -> bool:
-        return self._assignment[id_a] == self._assignment[id_b]
 
     def clusters(self) -> dict[str, list[str]]:
         """Author id -> sorted member alias ids."""
@@ -286,25 +257,51 @@ def _check_same_ids(ids: Iterable[str], other: Iterable[str], name: str,
             f"{len(other - ids)} only in {other_name}")
 
 
+def _distinct(aliases: list[Alias]) -> tuple[list[int],
+                                             list[tuple[int, int]]]:
+    """The index of the first alias of each distinct record, and
+    ``(first, k)`` for each later alias k equal to alias ``first`` in every
+    field but the id: a copy."""
+    first: dict[tuple[str, ...], int] = {}
+    copies = []
+    for k, a in enumerate(aliases):
+        r = first.setdefault((a.name, a.email, a.first_name,
+                              a.penultimate_name, a.last_name,
+                              a.email_base), k)
+        if r != k:
+            copies.append((r, k))
+    return list(first.values()), copies
+
+
+def _copy_edges(aliases: list[Alias], copies: list[tuple[int, int]],
+                method: str, cfg: MatcherConfig
+                ) -> list[tuple[float, int, int]]:
+    """(s, first, k) for each copy of :func:`_distinct` whose record's own
+    score s, against itself and computed once, is >= ``cfg.threshold``."""
+    score = _pair_scorer(method, cfg)
+    own = {r: score(aliases[r], aliases[r]) for r in {r for r, _ in copies}}
+    return [(own[r], r, k) for r, k in copies if own[r] >= cfg.threshold]
+
+
 def disambiguate(aliases: list[Alias], method: str = DEFAULT_METHOD,
                  cfg: MatcherConfig = DEFAULT_CONFIG,
                  workers: int = 1) -> Partition:
     """Group aliases into authors: match all pairs, then take the
-    transitive closure of the matches."""
+    transitive closure of the matches.
+
+    Each distinct cleaned alias is scanned once, and a copy joins its first
+    alias exactly when their record scores at least the threshold against
+    itself. That is exact: a rule fires on a pair only through a string of
+    the alias that passes the length gate, and then its identical name,
+    email or email base scores it at least 1 against itself under every
+    method; at t = 0 every gambit and bird pair matches anyway.
+    """
     ids = _alias_ids(aliases)
+    reps, copies = _distinct(aliases)
     dsu = _DisjointSet(len(ids))
-    for i, j in matched_pairs(aliases, method, cfg, workers):
-        dsu.union(i, j)
-    return dsu.partition(ids)
-
-
-def merge_partitions(p1: Partition, p2: Partition) -> Partition:
-    """Finest common coarsening: two aliases share an author in the result
-    iff they are connected through same-author links of either input."""
-    _check_same_ids(p1.universe(), p2.universe(), "the first partition",
-                    "the second")
-    ids = sorted(p1.universe())
-    dsu = _DisjointSet(len(ids))
-    for part in (p1, p2):
-        dsu.union_equal(map(part.author_of, ids))
+    for i, j in matched_pairs([aliases[r] for r in reps], method, cfg,
+                              workers):
+        dsu.union(reps[i], reps[j])
+    for _, r, k in _copy_edges(aliases, copies, method, cfg):
+        dsu.union(r, k)
     return dsu.partition(ids)

@@ -17,10 +17,6 @@ class StopWordFileError(DealiasError):
     """Unreadable stop-word list, or a word that cleaning never produces."""
 
 
-class EmptyClusterError(DealiasError):
-    """A partition given as clusters has a cluster with no members."""
-
-
 class DuplicateAliasIdError(DealiasError):
     """Two alias records share the same id."""
 

@@ -10,7 +10,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .clustering import (DEFAULT_METHOD, Partition, _alias_ids,
                          _check_method, _check_same_ids, _check_workers,
-                         _DisjointSet, disambiguate, scored_pairs)
+                         _copy_edges, _DisjointSet, _distinct, disambiguate,
+                         scored_pairs)
 from .normalize import Alias
 from .rules import DEFAULT_CONFIG, MatcherConfig
 from .similarity import LevenshteinRows, Measure, edit_budget
@@ -92,8 +93,10 @@ def sweep(aliases: list[Alias], truth: Partition,
     No pair score depends on the threshold, and a pair matches at t exactly
     when its score is >= t. So each (method, measure) is scanned once, at the
     lowest threshold, and every threshold's partition is read from one
-    union-find pass over the scored pairs, highest score first. Each such
-    row's ``wall_time_s`` is an even share of its group's scan plus its own
+    union-find pass over the scored pairs, highest score first. As in
+    :func:`disambiguate`, each distinct cleaned alias is scanned once; a
+    copy's edge in that pass is its record's self-score. Each such row's
+    ``wall_time_s`` is an even share of its group's scan plus its own
     closure and evaluation; the simple row's is its one :func:`disambiguate`
     and evaluation. So the rows add up to the sweep's time.
 
@@ -143,7 +146,10 @@ def _sweep_group(aliases: list[Alias], ids: list[str], truth: Partition,
     """The rows of one (method, measure) at the ascending ``thresholds``,
     from one scan at ``cfg.threshold``, the lowest of them."""
     start = time.perf_counter()
-    scored = scored_pairs(aliases, method, cfg, workers)
+    reps, copies = _distinct(aliases)
+    scored = [(s, reps[i], reps[j]) for s, i, j in scored_pairs(
+        [aliases[r] for r in reps], method, cfg, workers)]
+    scored += _copy_edges(aliases, copies, method, cfg)
     scored.sort(reverse=True)
     scan_share = (time.perf_counter() - start) / len(thresholds)
     dsu = _DisjointSet(len(ids))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import string
+from dataclasses import replace
 
 from hypothesis import strategies as st
 
@@ -109,3 +110,15 @@ def alias_lists(min_size: int = 2, max_size: int = 30):
         min_size=min_size, max_size=max_size,
     ).map(lambda rows: [make_alias(f"a{k:02d}", name, email)
                         for k, (name, email) in enumerate(rows)])
+
+
+def copied_alias_lists(max_size: int = 8, max_copies: int = 7):
+    """Hypothesis strategy: :func:`alias_lists` with copies of some of its
+    aliases, equal in every field but the id (c0, c1, ...), all in any
+    order."""
+    return alias_lists(max_size=max_size).flatmap(
+        lambda aliases: st.lists(st.sampled_from(aliases),
+                                 max_size=max_copies)
+        .map(lambda picks: aliases + [replace(a, id=f"c{k}")
+                                      for k, a in enumerate(picks)])
+        .flatmap(st.permutations))

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations, permutations
 
 import pytest
@@ -6,22 +7,21 @@ from hypothesis import example, given, settings, strategies as st
 
 from dealias import clustering
 from dealias.clustering import (METHODS, Partition, _DisjointSet,
-                                disambiguate, matched_pairs, merge_partitions,
-                                pair_score, scored_pairs)
-from dealias.errors import (DealiasError, DuplicateAliasIdError,
-                            EmptyClusterError, UniverseMismatchError)
+                                disambiguate, matched_pairs, pair_score,
+                                scored_pairs)
+from dealias.errors import DuplicateAliasIdError
+from dealias.normalize import Alias
 from dealias.rules import MatcherConfig, score_pair, top_two_average
 from dealias.similarity import Measure
 from oracles import all_pairs_matches, closure_components, reference_match
-from synth import alias_lists, make_alias, mixed_corpus, random_corpus
+from synth import (alias_lists, copied_alias_lists, make_alias, mixed_corpus,
+                   random_corpus)
 
 
 def test_partition_canonical_labels():
     p = Partition({"a3": "x", "a1": "x", "a2": "y"})
     assert p.assignment == {"a1": "a1", "a3": "a1", "a2": "a2"}
-    assert p.author_of("a3") == "a1"
-    assert p.same_author("a1", "a3")
-    assert not p.same_author("a1", "a2")
+    assert p.clusters() == {"a1": ["a1", "a3"], "a2": ["a2"]}
     assert p.author_count() == 2
     assert len(p) == 3
 
@@ -32,25 +32,6 @@ def test_partition_equality_ignores_input_labels():
     assert p1 == p2
     p3 = Partition({"a": "x", "b": "y", "c": "z"})
     assert p1 != p3
-
-
-def test_partition_from_clusters():
-    p = Partition.from_clusters([["b", "a"], ["c"]])
-    assert p.clusters() == {"a": ["a", "b"], "c": ["c"]}
-    with pytest.raises(DuplicateAliasIdError,
-                       match=r"'b' appears in the clusters at positions 0 "
-                             r"and 2 \(counting from 0\)$"):
-        Partition.from_clusters([["a", "b"], ["c"], ["b"]])
-    with pytest.raises(DuplicateAliasIdError,
-                       match=r"'a' appears twice in the cluster at position 1 "
-                             r"\(counting from 0\)$"):
-        Partition.from_clusters([["b"], ["a", "a"]])
-
-
-def test_partition_from_clusters_rejects_empty_cluster():
-    with pytest.raises(EmptyClusterError, match="position 1 "):
-        Partition.from_clusters([["a"], [], ["b"]])
-    assert issubclass(EmptyClusterError, DealiasError)
 
 
 def test_partition_universe():
@@ -193,6 +174,62 @@ def test_blocked_scan_equals_all_pairs_at_any_threshold(aliases, t, method,
             == all_pairs_matches(aliases, method, cfg))
 
 
+_below_gate = make_alias("a00", "ab", "a@x")
+_contained = [make_alias("a00", "abc dddd", ""),
+              make_alias("a01", "", "adddd@x")]
+# hand-built: one name below the length gate, name parts that disagree
+_inconsistent = [Alias("a00", "ab", "", "abcd", "abcd", "efgh", ""),
+                 Alias("a01", "ab", "", "zz", "zz", "zz", ""),
+                 make_alias("a02", "", "aefgh@x")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(copied_alias_lists(), st.sampled_from(METHODS),
+       st.sampled_from(list(Measure)), st.floats(0.0, 1.0),
+       st.integers(1, 4))
+# a record whose name and email are both below the length gate: its copy
+# joins it when every pair matches, and stays apart above 0
+@example([_below_gate, replace(_below_gate, id="c0")], "gambit",
+         Measure.LEVENSHTEIN, 0.0, 4)
+@example([_below_gate, replace(_below_gate, id="c0")], "gambit",
+         Measure.LEVENSHTEIN, 0.5, 4)
+# copies of an alias that matches a third only through a containment rule:
+# a00's "adddd" in a01's email base (rule 5)
+@example(_contained + [replace(_contained[1], id=f"c{k}") for k in range(2)],
+         "gambit", Measure.JARO_WINKLER, 0.5, 3)
+@example(_contained + [replace(_contained[1], id=f"c{k}") for k in range(2)],
+         "bird", Measure.LEVENSHTEIN, 1.0, 3)
+# equal names and emails, other name parts: not a copy (a00 matches a02
+# through rule 5, a01 matches nothing)
+@example(_inconsistent, "gambit", Measure.LEVENSHTEIN, 0.5, 3)
+def test_disambiguate_equals_closure_of_all_pairs_with_copies(
+        aliases, method, measure, t, min_len):
+    # copies are scanned once and joined through their self-score; the
+    # result must still be the closure of every pair's decision
+    cfg = MatcherConfig(threshold=t, measure=measure, min_len=min_len)
+    component = closure_components(len(aliases),
+                                   all_pairs_matches(aliases, method, cfg))
+    expected = Partition({a.id: component[k] for k, a in enumerate(aliases)})
+    assert disambiguate(aliases, method, cfg) == expected
+
+
+def test_copies_are_scanned_once(monkeypatch):
+    # cleaning drops the digits of "Person k <pk@example.org>": 2,000 equal
+    # records are one scan of one alias, not 1,999,000 matched pairs
+    aliases = [make_alias(f"a{k:04d}", "person", "p@example org")
+               for k in range(2000)]
+    calls = []
+    scan = clustering.matched_pairs
+
+    def counted(scanned, *args):
+        calls.append(len(scanned))
+        return scan(scanned, *args)
+
+    monkeypatch.setattr(clustering, "matched_pairs", counted)
+    assert disambiguate(aliases).author_count() == 1
+    assert calls == [1]
+
+
 @settings(max_examples=300, deadline=None)
 @given(alias_lists(max_size=6), st.sampled_from(METHODS),
        st.sampled_from(list(Measure)), st.floats(0.0, 1.0),
@@ -212,6 +249,11 @@ def test_pair_score_reaches_threshold_exactly_when_reference_matches(
                                 min_len=min_len)
             assert (score >= cut) == reference_match(a, b, method, cfg), (
                 a, b, method, measure, cut, score)
+            # disambiguate joins a copy through its record's self-score:
+            # an alias that matches anything must match itself
+            if score >= cut:
+                assert pair_score(a, a, method, cfg) >= cut, (a, method, cut)
+                assert pair_score(b, b, method, cfg) >= cut, (b, method, cut)
 
 
 @settings(max_examples=300, deadline=None)
@@ -306,16 +348,6 @@ def test_worker_pool_is_bounded_and_needs_fork(monkeypatch):
     assert _InProcessPool.sizes == [8, 4, 3]
 
 
-def test_merge_partitions():
-    p1 = Partition({"a": "1", "b": "1", "c": "2", "d": "3"})
-    p2 = Partition({"a": "x", "b": "y", "c": "y", "d": "z"})
-    merged = merge_partitions(p1, p2)
-    assert merged.clusters() == {"a": ["a", "b", "c"], "d": ["d"]}
-    with pytest.raises(UniverseMismatchError, match="3 are only in the "
-                       "first partition, 0 only in the second"):
-        merge_partitions(p1, Partition({"a": "1"}))
-
-
 _two_labellings = st.integers(0, 8).flatmap(lambda n: st.tuples(
     st.lists(st.sampled_from("abc"), min_size=n, max_size=n),
     st.lists(st.sampled_from("xy"), min_size=n, max_size=n)))
@@ -323,17 +355,19 @@ _two_labellings = st.integers(0, 8).flatmap(lambda n: st.tuples(
 
 @settings(max_examples=200, deadline=None)
 @given(_two_labellings)
-def test_merge_partitions_equals_closure_of_same_label_links(labellings):
+def test_union_equal_on_two_labellings_equals_closure_of_same_label_links(
+        labellings):
     labels1, labels2 = labellings
     # "" is a valid id, and the smallest: it names every cluster it is in
     ids = [str(k) if k else "" for k in range(len(labels1))]
-    p1 = Partition(dict(zip(ids, labels1)))
-    p2 = Partition(dict(zip(ids, labels2)))
+    dsu = _DisjointSet(len(ids))
+    for labels in (labels1, labels2):
+        dsu.union_equal(labels)
     links = [(i, j) for i, j in combinations(range(len(ids)), 2)
              if labels1[i] == labels1[j] or labels2[i] == labels2[j]]
     component = closure_components(len(ids), links)
     expected = Partition({ids[k]: component[k] for k in range(len(ids))})
-    assert merge_partitions(p1, p2) == expected
+    assert dsu.partition(ids) == expected
 
 
 def test_methods_tuple_stable():

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dealias import clustering
+from dealias import clustering, evaluation
 from dealias.clustering import METHODS, Partition, disambiguate
 from dealias.errors import DuplicateAliasIdError, UniverseMismatchError
 from dealias.evaluation import (EvalReport, SWEEP_HEADER, cohen_kappa,
@@ -18,11 +18,13 @@ from dealias.similarity import Measure
 from dealias.storage import write_triage
 from oracles import (brute_force_counts, lev_similarity_matrix,
                      triage_reference)
-from synth import alias_lists, make_alias, random_corpus, random_token
+from synth import (alias_lists, copied_alias_lists, make_alias, random_corpus,
+                   random_token)
 
 
 def partition_of(groups):
-    return Partition.from_clusters(groups)
+    return Partition({alias: k for k, members in enumerate(groups)
+                      for alias in members})
 
 
 def test_evaluate_worked_example():
@@ -303,6 +305,24 @@ def test_sweep_scans_each_distinct_method_and_measure_once():
         (call.args[1], call.args[2].measure) for call in scan.call_args_list]
 
 
+def test_sweep_scans_copies_once(monkeypatch):
+    # 2,000 equal records: one scan of one alias, and every row joins them
+    aliases = [make_alias(f"a{k:04d}", "person", "p@example org")
+               for k in range(2000)]
+    truth = Partition({a.id: "p" for a in aliases})
+    calls = []
+    scan = evaluation.scored_pairs
+
+    def counted(scanned, *args):
+        calls.append(len(scanned))
+        return scan(scanned, *args)
+
+    monkeypatch.setattr(evaluation, "scored_pairs", counted)
+    rows = sweep(aliases, truth, thresholds=(0.5, 0.95))
+    assert calls == [1]
+    assert [r.report for r in rows] == [EvalReport(1999000, 0, 0)] * 2
+
+
 def _reference_sweep(aliases, truth, measures, thresholds, min_len):
     """One disambiguation and evaluation per row, every method."""
     rows = []
@@ -324,7 +344,7 @@ _grid_values = st.sampled_from([0.5, 0.75, 0.8, 0.9, 0.95, 1.0])
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.data(), alias_lists(max_size=16),
+@given(st.data(), copied_alias_lists(max_size=16),
        st.one_of(
            # unsorted, with duplicates, anywhere in [0, 1]
            st.lists(st.one_of(_grid_values, st.floats(0.0, 1.0)),

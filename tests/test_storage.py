@@ -166,7 +166,7 @@ def test_extract_ids_past_a9999_take_the_smallest_string_label():
     records = extract_from_log(log)
     assert [r.id for r in records[9998:]] == ["a9999", "a10000"]
     # no fixed width: a10000 sorts before a9999 and names their cluster
-    part = Partition.from_clusters([["a9999", "a10000"]])
+    part = Partition({"a9999": 0, "a10000": 0})
     assert part.assignment == {"a9999": "a10000", "a10000": "a10000"}
 
 
