@@ -274,12 +274,19 @@ def _distinct(aliases: list[Alias]) -> tuple[list[int],
 
 
 def _copy_edges(aliases: list[Alias], copies: list[tuple[int, int]],
-                method: str, cfg: MatcherConfig
+                method: str, cfg: MatcherConfig, best: Mapping[int, float]
                 ) -> list[tuple[float, int, int]]:
-    """(s, first, k) for each copy of :func:`_distinct` whose record's own
-    score s, against itself and computed once, is >= ``cfg.threshold``."""
+    """(s, first, k) for each copy of :func:`_distinct` whose s is at least
+    ``cfg.threshold``: the larger of its record's own score, against itself
+    and computed once, and ``best[first]``, the record's best score against
+    any other alias (absent when it reaches no threshold that matters).
+
+    A copy decides every pair as its record does, so in the closure it
+    shares its record's cluster exactly when the record matches itself or
+    matches some other alias, which the copy then matches too."""
     score = _pair_scorer(method, cfg)
-    own = {r: score(aliases[r], aliases[r]) for r in {r for r, _ in copies}}
+    own = {r: max(score(aliases[r], aliases[r]), best.get(r, -inf))
+           for r in {r for r, _ in copies}}
     return [(own[r], r, k) for r, k in copies if own[r] >= cfg.threshold]
 
 
@@ -289,19 +296,23 @@ def disambiguate(aliases: list[Alias], method: str = DEFAULT_METHOD,
     """Group aliases into authors: match all pairs, then take the
     transitive closure of the matches.
 
-    Each distinct cleaned alias is scanned once, and a copy joins its first
-    alias exactly when their record scores at least the threshold against
-    itself. That is exact: a rule fires on a pair only through a string of
-    the alias that passes the length gate, and then its identical name,
-    email or email base scores it at least 1 against itself under every
-    method; at t = 0 every gambit and bird pair matches anyway.
+    Each distinct cleaned alias is scanned once. A copy, equal to its first
+    alias in every field but the id, decides every pair as that alias does,
+    so it joins it exactly when the alias matches itself or appears in a
+    matched pair. The self-score alone does not do: a one-token name is its
+    own first and last name, so its needles for rules 5 and 6 are one
+    character longer than the name and can pass the length gate when
+    neither the name nor the email does.
     """
     ids = _alias_ids(aliases)
     reps, copies = _distinct(aliases)
     dsu = _DisjointSet(len(ids))
+    # a matched pair scores at least the threshold
+    best = {}
     for i, j in matched_pairs([aliases[r] for r in reps], method, cfg,
                               workers):
         dsu.union(reps[i], reps[j])
-    for _, r, k in _copy_edges(aliases, copies, method, cfg):
+        best[reps[i]] = best[reps[j]] = cfg.threshold
+    for _, r, k in _copy_edges(aliases, copies, method, cfg, best):
         dsu.union(r, k)
     return dsu.partition(ids)

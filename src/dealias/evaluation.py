@@ -6,6 +6,8 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+from math import inf
 from typing import Iterable, Iterator, Sequence
 
 from .clustering import (DEFAULT_METHOD, Partition, _alias_ids,
@@ -14,7 +16,7 @@ from .clustering import (DEFAULT_METHOD, Partition, _alias_ids,
                          scored_pairs)
 from .normalize import Alias
 from .rules import DEFAULT_CONFIG, MatcherConfig
-from .similarity import LevenshteinRows, Measure, edit_budget
+from .similarity import LevenshteinRows, Measure
 from .storage import write_csv
 
 # triage: auto-differ when both name and email similarity fall below this
@@ -95,7 +97,8 @@ def sweep(aliases: list[Alias], truth: Partition,
     lowest threshold, and every threshold's partition is read from one
     union-find pass over the scored pairs, highest score first. As in
     :func:`disambiguate`, each distinct cleaned alias is scanned once; a
-    copy's edge in that pass is its record's self-score. Each such row's
+    copy's edge in that pass scores the larger of its record's self-score
+    and the record's best score in the scanned pairs. Each such row's
     ``wall_time_s`` is an even share of its group's scan plus its own
     closure and evaluation; the simple row's is its one :func:`disambiguate`
     and evaluation. So the rows add up to the sweep's time.
@@ -149,7 +152,12 @@ def _sweep_group(aliases: list[Alias], ids: list[str], truth: Partition,
     reps, copies = _distinct(aliases)
     scored = [(s, reps[i], reps[j]) for s, i, j in scored_pairs(
         [aliases[r] for r in reps], method, cfg, workers)]
-    scored += _copy_edges(aliases, copies, method, cfg)
+    best: dict[int, float] = {}
+    for s, i, j in scored:
+        for r in i, j:
+            if s > best.get(r, -inf):
+                best[r] = s
+    scored += _copy_edges(aliases, copies, method, cfg, best)
     scored.sort(reverse=True)
     scan_share = (time.perf_counter() - start) / len(thresholds)
     dsu = _DisjointSet(len(ids))
@@ -232,12 +240,13 @@ def triage_rows(aliases: list[Alias],
     or through a chain of such links) are auto-matches. Of the remaining
     pairs, those whose name similarity AND email similarity are both below
     ``differ_cutoff`` are auto-differs; everything else is left undecided
-    for a human. Similarities are ``levenshtein_similarity`` values: each
-    exact edit distance is compared with the cutoff's ``edit_budget`` for
-    the pair's longer string, so every pair is decided exactly as by
-    comparing the two aliases alone. Each alias's distances to all later
-    ones come from one pass of the packed kernel per field
-    (:class:`LevenshteinRows`).
+    for a human. Similarities are ``levenshtein_similarity`` values, so
+    every pair is decided exactly as by comparing the two aliases alone.
+    For each alias, one pass of the packed kernel per field
+    (:class:`LevenshteinRows`) names the later aliases within the cutoff:
+    only those, and the auto-matches, from groups found once, are handled
+    one by one. The auto-differs are the rest of the row, taken in one
+    ``itertools.compress``.
 
     Raises :class:`DuplicateAliasIdError` when two aliases share an id, and
     ``ValueError`` unless 0 <= ``differ_cutoff`` <= 1, before the first
@@ -259,33 +268,29 @@ def _triage_rows(aliases: list[Alias], differ_cutoff: float
     for keys in (names, emails):
         dsu.union_equal(key or None for key in keys)
     roots = [dsu.find(k) for k in range(n)]
-    name_rows = LevenshteinRows(names)
-    email_rows = LevenshteinRows(emails)
-    # budget[l]: the most edits at the cutoff for a longer string of l.
-    # It grows with l, so a pair's budget, that of its longer string, is
-    # the larger of its two aliases' budgets: a distance exceeds it when it
-    # exceeds both.
-    budget = [edit_budget(longer, differ_cutoff) for longer in
-              range(max(map(len, names + emails), default=0) + 1)]
-    name_budgets = [budget[len(name)] for name in names]
-    email_budgets = [budget[len(email)] for email in emails]
+    groups: dict[int, list[int]] = {}
+    place = [0] * n   # place[k]: k's position in its group
+    for k, root in enumerate(roots):
+        group = groups.setdefault(root, [])
+        place[k] = len(group)
+        group.append(k)
+    name_rows = LevenshteinRows(names, differ_cutoff)
+    email_rows = LevenshteinRows(emails, differ_cutoff)
+    # selector[j]: pair (i, j) of the current row i is an auto-differ
+    selector = bytearray(b"\1") * n
     for i in range(n):
-        root, name_budget, email_budget = (roots[i], name_budgets[i],
-                                           email_budgets[i])
-        match = []
-        differ = []
-        undecided = []
-        for j, name_d, email_d in zip(range(i + 1, n),
-                                      name_rows.distances(names[i], i + 1),
-                                      email_rows.distances(emails[i], i + 1)):
-            if roots[j] == root:
-                match.append(ids[j])
-            elif (name_budget < name_d > name_budgets[j]
-                  and email_budget < email_d > email_budgets[j]):
-                differ.append(ids[j])
-            else:
-                undecided.append(ids[j])
-        yield ids[i], match, differ, undecided
+        selector[i] = 0
+        matched = groups[roots[i]][place[i] + 1:]
+        close = set(name_rows.similar(names[i], i + 1))
+        close.update(email_rows.similar(emails[i], i + 1))
+        undecided = sorted(close.difference(matched))
+        for j in matched + undecided:
+            selector[j] = 0
+        differ = list(compress(ids, selector))
+        for j in matched + undecided:
+            selector[j] = 1
+        yield (ids[i], [ids[j] for j in matched], differ,
+               [ids[j] for j in undecided])
 
 
 def triage(aliases: list[Alias],

@@ -80,7 +80,8 @@ def levenshtein_distance(s1: str, s2: str) -> int:
 
 
 class LevenshteinRows:
-    """Exact edit distances from one text to many strings at once.
+    """Which of many strings lie within a Levenshtein similarity cutoff of
+    one text, found for all of them at once.
 
     The strings are packed as lanes of the same integers and advanced
     together by one pass of the bit-parallel column loop over the text.
@@ -88,42 +89,119 @@ class LevenshteinRows:
     above them; an empty string is a lane of no bits. The last string sits
     in the lowest bits, so the strings from any ``start`` on fill the low
     bits, and a row from ``start`` runs on integers only as wide as they.
+
+    Each string also has a counter field of w bits in two more integers,
+    starting at its lane's top bit. The bottom row of a lane's table starts
+    at ``len(s)`` and moves by the top bit's horizontal delta in each
+    column, so each column adds the top bits of ``hp`` (+1) to one counter
+    and of ``hn`` (-1) to the other, and a lane's distance d is
+    ``len(s) + plus - minus``. An empty lane's distance is ``len(text)``,
+    added to its ``plus`` field. With G = 2**(w - 1) above every length,
+    ``minus + G - len(s) + b - plus`` is G + b - d in every field at once,
+    in [0, 2G), so no field borrows from the next, and the field's top bit
+    is set exactly when d <= b. A pair's edit budget is that of its longer
+    string, and budgets do not fall with the length, so it is the larger of
+    the string's budget and the text's: two packed tests, one with each
+    string's own budget and one with the text's, and their union holds the
+    strings within the pair's budget. Fields never overlap: a short lane
+    starts far enough above the one below it that its field begins above
+    that one's field.
     """
 
-    def __init__(self, strings: Sequence[str]):
+    def __init__(self, strings: Sequence[str], tau: float):
         n = len(strings)
+        self._tau = tau
+        longest = max(map(len, strings), default=0)
+        w = longest.bit_length() + 1
+        g = 1 << (w - 1)
+        budget = [edit_budget(length, tau) for length in range(longest + 1)]
         peq: dict[str, int] = {}
-        mask = low = offset = 0
-        spans = [(0, 0)] * n
-        ends = [0] * (n + 1)   # ends[k]: bits taken by strings[k:]
+        mask = low = top = empty = ones = shift = own = guards = 0
+        offset = free = 0   # lowest lane bit and lowest field bit not taken
+        lane_at: dict[int, int] = {}   # a field's top bit -> its string
+        ends = [(0, 0)] * (n + 1)   # ends[k]: bits taken by strings[k:]
         for k in range(n - 1, -1, -1):
             s = strings[k]
-            spans[k] = (offset, offset + len(s))
             if s:
+                # the field starts at the lane's top bit, above the last one
+                offset = max(offset, free - len(s) + 1)
                 _add_lane(peq, s, offset)
                 mask |= ((1 << len(s)) - 1) << offset
                 low |= 1 << offset
+                field = offset + len(s) - 1
+                top |= 1 << field
                 offset += len(s) + 1
-            ends[k] = offset
-        self._peq, self._mask, self._low = peq, mask, low
-        self._spans, self._ends = spans, ends
+            else:
+                field = free
+                empty |= 1 << field
+            free = field + w
+            ones |= 1 << field
+            shift |= (g - len(s)) << field
+            own |= (g - len(s) + budget[len(s)]) << field
+            guards |= 1 << (free - 1)
+            lane_at[free - 1] = k
+            ends[k] = (offset, free)
+        self._capacity = g - 1
+        self._peq, self._mask, self._low, self._top = peq, mask, low, top
+        self._empty, self._ones, self._shift, self._own = (empty, ones,
+                                                           shift, own)
+        self._guards, self._lane_at, self._ends = guards, lane_at, ends
 
-    def distances(self, text: str, start: int = 0) -> list[int]:
-        """``[levenshtein_distance(text, s) for s in strings[start:]]``."""
+    def similar(self, text: str, start: int = 0) -> list[int]:
+        """The indices k >= ``start``, ascending, of the strings with
+        ``levenshtein_similarity(text, strings[k]) >= tau``. Raises
+        ``IndexError`` for a ``start`` outside [0, len(strings)], and
+        ``ValueError`` for a text longer than the counters hold: every text
+        up to the longest string's length fits."""
         if not 0 <= start < len(self._ends):
-            raise IndexError(f"start {start} outside [0, {len(self._spans)}]")
-        # cut the lanes before start off the tables: narrower integers
-        window = (1 << self._ends[start]) - 1
-        peq = {c: self._peq[c] & window for c in set(text) if c in self._peq}
-        vp, vn = _myers_columns(peq, self._mask & window,
-                                self._low & window, text)
-        # lane (a, b) holds bits a..b-1, which are characters a..b-1 of the
-        # binary strings written lowest bit first
-        plus = format(vp, "b")[::-1].count
-        minus = format(vn, "b")[::-1].count
+            raise IndexError(
+                f"start {start} outside [0, {len(self._ends) - 1}]")
         m = len(text)
-        return [m + plus("1", a, b) - minus("1", a, b)
-                for a, b in self._spans[start:]]
+        if m > self._capacity:
+            raise ValueError(f"text of {m} characters, over the "
+                             f"{self._capacity} the counters hold")
+        # cut the lanes and fields before start off: narrower integers
+        lanes, fields = self._ends[start]
+        lane_window = (1 << lanes) - 1
+        field_window = (1 << fields) - 1
+        peq = {c: self._peq[c] & lane_window for c in set(text)
+               if c in self._peq}
+        mask, low = self._mask & lane_window, self._low & lane_window
+        top = self._top & lane_window
+        vp, vn, plus, minus = mask, 0, 0, 0
+        # _myers_columns with the counters. One loop for both would cost
+        # every levenshtein_distance call the counters' four operations per
+        # column, about a quarter of its time; disambiguate makes the most
+        # such calls
+        for c in text:
+            eq = peq.get(c, 0)
+            xv = eq | vn
+            xh = (((eq & vp) + vp) ^ vp) | eq
+            hp = vn | (mask & ~(xh | vp))
+            hn = vp & xh
+            plus += hp & top
+            minus += hn & top
+            hp = (hp << 1) | low
+            hn <<= 1
+            vp = mask & (hn | ~(xv | hp))
+            vn = hp & xv
+        plus += m * (self._empty & field_window)
+        diff = minus - plus   # len(s) - d in every field
+        text_budget = (self._shift & field_window) + edit_budget(
+            m, self._tau) * (self._ones & field_window)
+        hits = (((diff + (self._own & field_window)) | (diff + text_budget))
+                & self._guards & field_window)
+        # the lowest index sits in the highest bits: the binary string,
+        # highest bit first, lists the hits in ascending order
+        bits = format(hits, "b")
+        last = len(bits) - 1
+        lane_at = self._lane_at
+        found = []
+        i = bits.find("1")
+        while i >= 0:
+            found.append(lane_at[last - i])
+            i = bits.find("1", i + 1)
+        return found
 
 
 def levenshtein_similarity(s1: str, s2: str) -> float:

@@ -112,13 +112,46 @@ def alias_lists(min_size: int = 2, max_size: int = 30):
                         for k, (name, email) in enumerate(rows)])
 
 
-def copied_alias_lists(max_size: int = 8, max_copies: int = 7):
-    """Hypothesis strategy: :func:`alias_lists` with copies of some of its
-    aliases, equal in every field but the id (c0, c1, ...), all in any
-    order."""
-    return alias_lists(max_size=max_size).flatmap(
+def gate_edge_alias_lists(min_len: int, max_size: int = 6):
+    """Hypothesis strategy: aliases at the length gate ``min_len``, with ids
+    a00, a01, ...: each name one token, half the time of ``min_len - 1``
+    letters (empty at ``min_len`` 1), each email empty or one token at x,
+    every other token of ``min_len - 1`` to ``min_len + 1`` letters. A
+    one-token name is its own first and last name, so its needles for rules
+    5 and 6 are one letter longer than it: they can pass the gate where the
+    name and the email do not."""
+    token = st.text(alphabet="ab", min_size=max(min_len - 1, 1),
+                    max_size=min_len + 1)
+    below = st.text(alphabet="ab", min_size=min_len - 1,
+                    max_size=min_len - 1)
+    return st.lists(
+        st.tuples(st.one_of(below, token),
+                  st.one_of(st.just(""), token.map("{}@x".format))),
+        min_size=1, max_size=max_size,
+    ).map(lambda rows: [make_alias(f"a{k:02d}", name, email)
+                        for k, (name, email) in enumerate(rows)])
+
+
+def copied_alias_lists(max_size: int = 8, max_copies: int = 7,
+                       aliases=None):
+    """Hypothesis strategy: ``aliases`` (by default :func:`alias_lists`)
+    with copies of some of its aliases, equal in every field but the id
+    (c0, c1, ...), all in any order."""
+    if aliases is None:
+        aliases = alias_lists(max_size=max_size)
+    return aliases.flatmap(
         lambda aliases: st.lists(st.sampled_from(aliases),
                                  max_size=max_copies)
         .map(lambda picks: aliases + [replace(a, id=f"c{k}")
                                       for k, a in enumerate(picks)])
         .flatmap(st.permutations))
+
+
+def gate_edge_cases(max_size: int = 6, max_copies: int = 4):
+    """Hypothesis strategy: ``(aliases, min_len)``, with ``min_len`` in 1-4
+    and the aliases those of :func:`gate_edge_alias_lists` at it, with
+    copies as in :func:`copied_alias_lists`."""
+    return st.integers(1, 4).flatmap(lambda min_len: st.tuples(
+        copied_alias_lists(max_copies=max_copies,
+                           aliases=gate_edge_alias_lists(min_len, max_size)),
+        st.just(min_len)))

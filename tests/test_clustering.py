@@ -14,8 +14,8 @@ from dealias.normalize import Alias
 from dealias.rules import MatcherConfig, score_pair, top_two_average
 from dealias.similarity import Measure
 from oracles import all_pairs_matches, closure_components, reference_match
-from synth import (alias_lists, copied_alias_lists, make_alias, mixed_corpus,
-                   random_corpus)
+from synth import (alias_lists, copied_alias_lists, gate_edge_cases,
+                   make_alias, mixed_corpus, random_corpus)
 
 
 def test_partition_canonical_labels():
@@ -174,6 +174,17 @@ def test_blocked_scan_equals_all_pairs_at_any_threshold(aliases, t, method,
             == all_pairs_matches(aliases, method, cfg))
 
 
+@settings(max_examples=200, deadline=None)
+@given(gate_edge_cases(max_copies=0), st.floats(0.0, 1.0),
+       st.sampled_from(METHODS), st.sampled_from(list(Measure)))
+def test_blocked_scan_equals_all_pairs_at_the_gate_edge(case, t, method,
+                                                        measure):
+    aliases, min_len = case
+    cfg = MatcherConfig(threshold=t, measure=measure, min_len=min_len)
+    assert (matched_pairs(aliases, method, cfg)
+            == all_pairs_matches(aliases, method, cfg))
+
+
 _below_gate = make_alias("a00", "ab", "a@x")
 _contained = [make_alias("a00", "abc dddd", ""),
               make_alias("a01", "", "adddd@x")]
@@ -181,6 +192,8 @@ _contained = [make_alias("a00", "abc dddd", ""),
 _inconsistent = [Alias("a00", "ab", "", "abcd", "abcd", "efgh", ""),
                  Alias("a01", "ab", "", "zz", "zz", "zz", ""),
                  make_alias("a02", "", "aefgh@x")]
+_one_token_copy = [make_alias("a1", "al", ""), make_alias("a2", "al", ""),
+                   make_alias("a3", "alan", "alan@x org")]
 
 
 @settings(max_examples=300, deadline=None)
@@ -202,10 +215,35 @@ _inconsistent = [Alias("a00", "ab", "", "abcd", "abcd", "efgh", ""),
 # equal names and emails, other name parts: not a copy (a00 matches a02
 # through rule 5, a01 matches nothing)
 @example(_inconsistent, "gambit", Measure.LEVENSHTEIN, 0.5, 3)
+# one-token names below the gate that match through a needle one letter
+# longer, found in the other's email base, and so do their copies, though
+# they score 0 against themselves: "al" of the file a1,Al, / a2,Al, /
+# a3,Alan,alan@x.org at the defaults (needle "ala"), "abc" at min_len 4
+# (needle "abca") and "c" at min_len 2 (needle "cc")
+@example(_one_token_copy, "bird", Measure.LEVENSHTEIN, 0.95, 3)
+@example(_one_token_copy, "gambit", Measure.LEVENSHTEIN, 0.95, 3)
+@example([make_alias("a00", "abc", ""), make_alias("a01", "", "abcab@x"),
+          make_alias("c0", "abc", "")], "gambit", Measure.LEVENSHTEIN, 0.5, 4)
+@example([make_alias("a00", "c", ""), make_alias("a01", "", "cc@x"),
+          make_alias("c0", "c", "")], "bird", Measure.JARO_WINKLER, 1.0, 2)
 def test_disambiguate_equals_closure_of_all_pairs_with_copies(
         aliases, method, measure, t, min_len):
-    # copies are scanned once and joined through their self-score; the
-    # result must still be the closure of every pair's decision
+    _assert_disambiguate_is_closure(aliases, method, measure, t, min_len)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gate_edge_cases(), st.sampled_from(METHODS),
+       st.sampled_from(list(Measure)), st.floats(0.0, 1.0))
+def test_disambiguate_equals_closure_of_all_pairs_at_the_gate_edge(
+        case, method, measure, t):
+    aliases, min_len = case
+    _assert_disambiguate_is_closure(aliases, method, measure, t, min_len)
+
+
+def _assert_disambiguate_is_closure(aliases, method, measure, t, min_len):
+    # copies are scanned once and joined to their record when it matches
+    # itself or anything else; the result must still be the closure of
+    # every pair's decision
     cfg = MatcherConfig(threshold=t, measure=measure, min_len=min_len)
     component = closure_components(len(aliases),
                                    all_pairs_matches(aliases, method, cfg))
@@ -234,6 +272,12 @@ def test_copies_are_scanned_once(monkeypatch):
 @given(alias_lists(max_size=6), st.sampled_from(METHODS),
        st.sampled_from(list(Measure)), st.floats(0.0, 1.0),
        st.integers(1, 4))
+# a match of a one-token name that does not match itself: rule 6's needle
+# "abca" in the base "abcab", and "cc" in "cc"
+@example([make_alias("a", "abc", ""), make_alias("b", "", "abcab@x")],
+         "gambit", Measure.LEVENSHTEIN, 0.5, 4)
+@example([make_alias("a", "c", ""), make_alias("b", "", "cc@x")],
+         "bird", Measure.LEVENSHTEIN, 0.5, 2)
 def test_pair_score_reaches_threshold_exactly_when_reference_matches(
         aliases, method, measure, t, min_len):
     # the score is taken at one threshold and compared with the reference
@@ -249,11 +293,14 @@ def test_pair_score_reaches_threshold_exactly_when_reference_matches(
                                 min_len=min_len)
             assert (score >= cut) == reference_match(a, b, method, cfg), (
                 a, b, method, measure, cut, score)
-            # disambiguate joins a copy through its record's self-score:
-            # an alias that matches anything must match itself
-            if score >= cut:
-                assert pair_score(a, a, method, cfg) >= cut, (a, method, cut)
-                assert pair_score(b, b, method, cfg) >= cut, (b, method, cut)
+        # the copy join rests on this: a copy of a, equal to it in every
+        # field but the id, scores as a does against b, at either end of
+        # the pair, so it shares a's cluster when a matches anything
+        copy = replace(a, id=f"{a.id}'")
+        for x, y in ((copy, b), (b, copy)):
+            assert pair_score(x, y, method, MatcherConfig(
+                threshold=t, measure=measure, min_len=min_len)) == score, (
+                a, b, method, measure)
 
 
 @settings(max_examples=300, deadline=None)

@@ -18,8 +18,8 @@ from dealias.similarity import Measure
 from dealias.storage import write_triage
 from oracles import (brute_force_counts, lev_similarity_matrix,
                      triage_reference)
-from synth import (alias_lists, copied_alias_lists, make_alias, random_corpus,
-                   random_token)
+from synth import (alias_lists, copied_alias_lists, gate_edge_cases,
+                   make_alias, random_corpus, random_token)
 
 
 def partition_of(groups):
@@ -357,6 +357,23 @@ _grid_values = st.sampled_from([0.5, 0.75, 0.8, 0.9, 0.95, 1.0])
 def test_sweep_rows_equal_one_disambiguation_per_row(data, aliases,
                                                      thresholds, min_len,
                                                      workers):
+    _assert_sweep_is_one_disambiguation_per_row(data, aliases, thresholds,
+                                                min_len, workers)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), gate_edge_cases(),
+       st.lists(st.one_of(_grid_values, st.floats(0.0, 1.0)), min_size=1,
+                max_size=5))
+def test_sweep_rows_equal_one_disambiguation_per_row_at_the_gate_edge(
+        data, case, thresholds):
+    aliases, min_len = case
+    _assert_sweep_is_one_disambiguation_per_row(data, aliases, thresholds,
+                                                min_len, 1)
+
+
+def _assert_sweep_is_one_disambiguation_per_row(data, aliases, thresholds,
+                                                min_len, workers):
     labels = data.draw(st.lists(st.integers(0, 3), min_size=len(aliases),
                                 max_size=len(aliases)))
     truth = Partition({a.id: f"p{k}" for a, k in zip(aliases, labels)})

@@ -77,17 +77,6 @@ lane_strings = st.one_of(st.text(alphabet="ab é@", max_size=10),
                          st.text(alphabet="ab é@", min_size=55, max_size=80))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(lane_strings, max_size=7), lane_strings)
-def test_levenshtein_rows_equal_matrix_oracle_from_every_start(strings, text):
-    rows = LevenshteinRows(strings)
-    want = [lev_distance_matrix(text, s) for s in strings]
-    for start in range(len(strings) + 1):
-        assert rows.distances(text, start) == want[start:]
-    with pytest.raises(IndexError):
-        rows.distances(text, len(strings) + 1)
-
-
 def _budget_cutoffs(longest):
     """0, 1/2, 1, every similarity 1 - d / n of up to ``longest``
     characters, and the floats just below and above each."""
@@ -95,6 +84,32 @@ def _budget_cutoffs(longest):
                                for d in range(n + 1)}
     return sorted(exact | {math.nextafter(tau, side) for tau in exact
                            for side in (-math.inf, math.inf)})
+
+
+_lane_cutoffs = _budget_cutoffs(12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(lane_strings, max_size=7), lane_strings, st.data())
+def test_levenshtein_rows_find_the_strings_within_budget_from_every_start(
+        strings, text, data):
+    # the packed budget test against the full table and the budget of the
+    # pair's longer string, for a text of any length the rows take: up to
+    # the longest string's, or one of the strings itself
+    longest = max(map(len, strings), default=0)
+    text = data.draw(st.sampled_from([text[:longest], *strings]))
+    tau = data.draw(st.sampled_from(_lane_cutoffs))
+    rows = LevenshteinRows(strings, tau)
+    want = [k for k, s in enumerate(strings)
+            if lev_distance_matrix(text, s)
+            <= edit_budget(max(len(text), len(s)), tau)]
+    for start in range(len(strings) + 1):
+        assert rows.similar(text, start) == [k for k in want if k >= start]
+    for start in (-1, len(strings) + 1):
+        with pytest.raises(IndexError):
+            rows.similar(text, start)
+    with pytest.raises(ValueError):
+        rows.similar("a" * (2 * longest + 2))
 
 
 def test_edit_budget_is_the_similarity_test_exhaustively():
@@ -109,8 +124,8 @@ def test_edit_budget_is_the_similarity_test_exhaustively():
 
 
 def test_edit_budget_grows_with_the_length():
-    # triage tests a distance against both aliases' budgets in place of
-    # the budget of the pair's longer string, which holds only so
+    # LevenshteinRows tests a distance against both strings' budgets in
+    # place of the budget of the pair's longer string, which holds only so
     for tau in _budget_cutoffs(40):
         budgets = [edit_budget(n, tau) for n in range(80)]
         assert budgets == sorted(budgets), tau

@@ -1,17 +1,19 @@
 import builtins
+import csv
 import io
 import logging
 import tempfile
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dealias.clustering import Partition
 from dealias.errors import (AliasFileError, PartitionFileError,
                             StopWordFileError)
 from dealias.normalize import DEFAULT_STOP_WORDS, RawAlias, preprocess
 from dealias.storage import (extract_from_log, read_aliases, read_partition,
-                             read_stop_words, write_aliases, write_partition)
+                             read_stop_words, write_aliases, write_partition,
+                             write_triage)
 
 
 def test_alias_round_trip(tmp_path):
@@ -256,3 +258,26 @@ def test_read_stop_words_names_the_line_that_is_not_utf8(tmp_path):
     path.write_bytes(b"doe\r\nsmith\rJos\xe9\n")
     assert _message(StopWordFileError, read_stop_words, path) == (
         f"{path}:3: not valid UTF-8")
+
+
+# ids that csv.writer quotes, ids it leaves alone, and both in one row
+_ids = st.text(alphabet=',"\r\n a\u00e9\u65e5', min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_ids, *[st.lists(_ids, max_size=4)] * 3),
+                max_size=5))
+def test_write_triage_writes_the_bytes_of_csv_writer(rows):
+    # each file must be what csv.writer writes for the rows' pairs, in
+    # order, whether or not an id needs quoting
+    with tempfile.TemporaryDirectory() as tmp:
+        counts = write_triage(rows, f"{tmp}/t")
+        for k, suffix in enumerate(("match", "differ", "undecided")):
+            want = io.StringIO(newline="")
+            writer = csv.writer(want, lineterminator="\n")
+            writer.writerow(["id_a", "id_b"])
+            writer.writerows((row[0], id_b) for row in rows
+                             for id_b in row[k + 1])
+            with open(f"{tmp}/t_{suffix}.csv", "rb") as fh:
+                assert fh.read() == want.getvalue().encode("utf-8")
+            assert counts[k] == sum(len(row[k + 1]) for row in rows)
