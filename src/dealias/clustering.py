@@ -12,7 +12,7 @@ from collections import defaultdict
 from functools import lru_cache
 from math import inf
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .baselines import bird_rule_score, simple_match
 from .blocking import candidate_partners
@@ -273,21 +273,56 @@ def _distinct(aliases: list[Alias]) -> tuple[list[int],
     return list(first.values()), copies
 
 
-def _copy_edges(aliases: list[Alias], copies: list[tuple[int, int]],
-                method: str, cfg: MatcherConfig, best: Mapping[int, float]
-                ) -> list[tuple[float, int, int]]:
-    """(s, first, k) for each copy of :func:`_distinct` whose s is at least
-    ``cfg.threshold``: the larger of its record's own score, against itself
-    and computed once, and ``best[first]``, the record's best score against
-    any other alias (absent when it reaches no threshold that matters).
+def _merge_edges(aliases: list[Alias], method: str, cfg: MatcherConfig,
+                 scan: Callable[[list[Alias]], Iterable]
+                 ) -> Iterator[tuple[float, int, int]]:
+    """The merge edges (s, i, j) over ``aliases``, each scoring at least
+    ``cfg.threshold``: the pairs that ``scan`` gives for the distinct
+    records of :func:`_distinct`, mapped back to the aliases, and then one
+    edge per copy, yielded as they come.
 
     A copy decides every pair as its record does, so in the closure it
     shares its record's cluster exactly when the record matches itself or
-    matches some other alias, which the copy then matches too."""
-    score = _pair_scorer(method, cfg)
-    own = {r: max(score(aliases[r], aliases[r]), best.get(r, -inf))
-           for r in {r for r, _ in copies}}
-    return [(own[r], r, k) for r, k in copies if own[r] >= cfg.threshold]
+    matches some other alias, which the copy then matches too. Its edge
+    scores the larger of the record's own score, against itself and
+    computed once, and the record's best score in the scan. The self-score
+    alone does not do: a one-token name is its own first and last name, so
+    its needles for rules 5 and 6 are one character longer than the name
+    and can pass the length gate when neither the name nor the email does.
+    """
+    reps, copies = _distinct(aliases)
+    best = [-inf] * len(aliases)
+    for s, i, j in scan([aliases[r] for r in reps]):
+        i, j = reps[i], reps[j]
+        # a comparison, not max(): a call per edge doubled the closure's time
+        best[i] = s if s > best[i] else best[i]
+        best[j] = s if s > best[j] else best[j]
+        yield s, i, j
+    for r in {r for r, _ in copies}:
+        best[r] = max(best[r], pair_score(aliases[r], aliases[r], method, cfg))
+    yield from ((best[r], r, k) for r, k in copies
+                if best[r] >= cfg.threshold)
+
+
+def _closures(ids: list[str], edges: Iterable[tuple[float, int, int]],
+              thresholds: Iterable[float]) -> Iterator[Partition]:
+    """For each of the descending ``thresholds`` t, the partition of
+    ``ids`` that the ``edges`` (s, i, j) with s >= t join, element k being
+    alias ``ids[k]``: single linkage cut at t.
+
+    The edges come highest score first, and one union-find walk goes down
+    them, each partition growing from the last. For a single threshold
+    that every edge reaches, the edges may come in any order: the walk
+    takes them all."""
+    dsu = _DisjointSet(len(ids))
+    edges = iter(edges)
+    end = (-inf, 0, 0)  # reaches no threshold
+    s, i, j = next(edges, end)
+    for t in thresholds:
+        while s >= t:
+            dsu.union(i, j)
+            s, i, j = next(edges, end)
+        yield dsu.partition(ids)
 
 
 def disambiguate(aliases: list[Alias], method: str = DEFAULT_METHOD,
@@ -296,23 +331,15 @@ def disambiguate(aliases: list[Alias], method: str = DEFAULT_METHOD,
     """Group aliases into authors: match all pairs, then take the
     transitive closure of the matches.
 
-    Each distinct cleaned alias is scanned once. A copy, equal to its first
-    alias in every field but the id, decides every pair as that alias does,
-    so it joins it exactly when the alias matches itself or appears in a
-    matched pair. The self-score alone does not do: a one-token name is its
-    own first and last name, so its needles for rules 5 and 6 are one
-    character longer than the name and can pass the length gate when
-    neither the name nor the email does.
+    Each distinct cleaned alias is scanned once by :func:`matched_pairs`,
+    and copies join as :func:`_merge_edges` says. A matched pair scores at
+    least the threshold t, so each becomes an edge of score t, and every
+    edge reaches t. The closure is therefore :func:`_closures` at t alone,
+    which takes the edges in the order the scan gives them: none is held
+    again or sorted.
     """
     ids = _alias_ids(aliases)
-    reps, copies = _distinct(aliases)
-    dsu = _DisjointSet(len(ids))
-    # a matched pair scores at least the threshold
-    best = {}
-    for i, j in matched_pairs([aliases[r] for r in reps], method, cfg,
-                              workers):
-        dsu.union(reps[i], reps[j])
-        best[reps[i]] = best[reps[j]] = cfg.threshold
-    for _, r, k in _copy_edges(aliases, copies, method, cfg, best):
-        dsu.union(r, k)
-    return dsu.partition(ids)
+    t = cfg.threshold
+    edges = _merge_edges(aliases, method, cfg, lambda records: (
+        (t, i, j) for i, j in matched_pairs(records, method, cfg, workers)))
+    return next(_closures(ids, edges, [t]))

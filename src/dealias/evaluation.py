@@ -7,12 +7,11 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
-from math import inf
 from typing import Iterable, Iterator, Sequence
 
 from .clustering import (DEFAULT_METHOD, Partition, _alias_ids,
                          _check_method, _check_same_ids, _check_workers,
-                         _copy_edges, _DisjointSet, _distinct, disambiguate,
+                         _closures, _DisjointSet, _merge_edges, disambiguate,
                          scored_pairs)
 from .normalize import Alias
 from .rules import DEFAULT_CONFIG, MatcherConfig
@@ -95,13 +94,13 @@ def sweep(aliases: list[Alias], truth: Partition,
     No pair score depends on the threshold, and a pair matches at t exactly
     when its score is >= t. So each (method, measure) is scanned once, at the
     lowest threshold, and every threshold's partition is read from one
-    union-find pass over the scored pairs, highest score first. As in
-    :func:`disambiguate`, each distinct cleaned alias is scanned once; a
-    copy's edge in that pass scores the larger of its record's self-score
-    and the record's best score in the scanned pairs. Each such row's
-    ``wall_time_s`` is an even share of its group's scan plus its own
-    closure and evaluation; the simple row's is its one :func:`disambiguate`
-    and evaluation. So the rows add up to the sweep's time.
+    union-find walk down the scored pairs, highest score first. The edges
+    and the walk are those of :func:`disambiguate`: each distinct cleaned
+    alias is scanned once, and a copy joins through its one edge. Each such
+    row's ``wall_time_s`` is an even share of its group's scan, edges and
+    sort, plus its own step of the walk and evaluation; the simple row's is
+    its one :func:`disambiguate` and evaluation. So the rows add up to the
+    sweep's time.
 
     Before any scan, raises ``ValueError`` on no or an unknown method, no
     measure for a method that uses one, no or an out-of-range threshold, or
@@ -147,33 +146,20 @@ def _sweep_group(aliases: list[Alias], ids: list[str], truth: Partition,
                  method: str, cfg: MatcherConfig, thresholds: list[float],
                  workers: int) -> list[SweepRow]:
     """The rows of one (method, measure) at the ascending ``thresholds``,
-    from one scan at ``cfg.threshold``, the lowest of them."""
+    from one scan at ``cfg.threshold``, the lowest of them, and one walk of
+    :func:`clustering._closures` down its edges, highest score first."""
     start = time.perf_counter()
-    reps, copies = _distinct(aliases)
-    scored = [(s, reps[i], reps[j]) for s, i, j in scored_pairs(
-        [aliases[r] for r in reps], method, cfg, workers)]
-    best: dict[int, float] = {}
-    for s, i, j in scored:
-        for r in i, j:
-            if s > best.get(r, -inf):
-                best[r] = s
-    scored += _copy_edges(aliases, copies, method, cfg, best)
-    scored.sort(reverse=True)
+    edges = sorted(_merge_edges(aliases, method, cfg, lambda records: (
+        scored_pairs(records, method, cfg, workers))), reverse=True)
     scan_share = (time.perf_counter() - start) / len(thresholds)
-    dsu = _DisjointSet(len(ids))
+    cuts = _closures(ids, edges, reversed(thresholds))
     rows = []
-    k = 0
     for t in reversed(thresholds):
         start = time.perf_counter()
-        while k < len(scored) and scored[k][0] >= t:
-            _, i, j = scored[k]
-            dsu.union(i, j)
-            k += 1
-        report = evaluate(dsu.partition(ids), truth)
+        report = evaluate(next(cuts), truth)
         rows.append(SweepRow(method, cfg.measure, t, report,
                              scan_share + time.perf_counter() - start))
-    rows.reverse()
-    return rows
+    return rows[::-1]
 
 
 SWEEP_HEADER = ["method", "measure", "threshold", "tp", "fp", "fn",

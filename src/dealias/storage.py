@@ -160,8 +160,8 @@ def read_aliases(path) -> list[RawAlias]:
     """Load alias records from a CSV file with header ``id,name,email``.
 
     Raises :class:`AliasFileError` (with the offending line number) on a bad
-    header, wrong field count, empty id, duplicate id, a NUL, or bytes that
-    are not UTF-8.
+    header, wrong field count, empty id, an id holding a carriage return,
+    duplicate id, a NUL, or bytes that are not UTF-8.
     """
     records: list[RawAlias] = []
     seen: dict[str, int] = {}
@@ -169,6 +169,11 @@ def read_aliases(path) -> list[RawAlias]:
                                                        AliasFileError):
         if not alias_id:
             raise AliasFileError(f"{path}:{line_no}: empty alias id")
+        if "\r" in alias_id:
+            # the CSV writer quotes a field with "\n" but not one with a
+            # lone "\r", so the id would not read back from any output
+            raise AliasFileError(f"{path}:{line_no}: alias id "
+                                 f"{alias_id!r} holds a carriage return")
         if alias_id in seen:
             raise AliasFileError(
                 f"{path}:{line_no}: duplicate alias id {alias_id!r} "

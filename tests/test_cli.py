@@ -341,6 +341,23 @@ def test_stray_quote_is_named_on_its_own_line(tmp_path, capsys):
     assert f"{bad}:2: expected 3 fields, got 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["disambiguate", "triage"])
+def test_alias_id_holding_a_carriage_return_exits_2(command, tmp_path,
+                                                    capsys, monkeypatch):
+    # unquoted in the output, "q\r4" would read back as "q" and a row "4"
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "cr.csv"
+    bad.write_bytes(b'id,name,email\n"q\r4",Ann Lee,ann@x.org\n'
+                    b'q5,Ann Lee,ann@x.org\n')
+    argv = {"disambiguate": ["-o", "p.csv"],
+            "triage": ["--out-prefix", "t"]}[command]
+    assert run_cli(command, str(bad), *argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:2: alias id 'q\\r4' holds a carriage return" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 def test_stop_words_holding_a_nul_exit_2(tmp_path, capsys):
     stop = tmp_path / "stop.txt"
     stop.write_bytes(b"doe\nsm\0ith\n")

@@ -1,12 +1,14 @@
 import random
 from dataclasses import replace
 from itertools import combinations, permutations
+from math import inf
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dealias import clustering
-from dealias.clustering import (METHODS, Partition, _DisjointSet,
+from dealias.clustering import (METHODS, Partition, _closures, _DisjointSet,
                                 disambiguate, matched_pairs, pair_score,
                                 scored_pairs)
 from dealias.errors import DuplicateAliasIdError
@@ -53,6 +55,42 @@ def test_disjoint_set_agrees_with_reachability_oracle(n, raw_edges):
     for i in range(n):
         for j in range(n):
             assert (dsu.find(i) == dsu.find(j)) == (labels[i] == labels[j])
+
+
+# few values, so that edges tie and scores equal a threshold; +inf is a
+# simple match
+_walk_values = [0.0, 0.25, 0.5, 0.75, 1.0]
+_walk_graphs = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.sampled_from(_walk_values + [1.5, inf]),
+                                   st.integers(0, n - 1),
+                                   st.integers(0, n - 1)), max_size=16)))
+
+
+def _closure_at(n, ids, edges, t):
+    component = closure_components(n, [(i, j) for s, i, j in edges
+                                       if s >= t])
+    return Partition({ids[k]: ids[component[k]] for k in range(n)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _walk_graphs,
+       st.lists(st.one_of(st.sampled_from(_walk_values), st.floats(0.0, 1.0)),
+                min_size=1, max_size=5))
+def test_closures_walk_equals_closure_of_the_edges_at_each_threshold(
+        data, graph, thresholds):
+    n, edges = graph
+    ids = [f"a{k}" for k in range(n)]
+    # highest score first, equal scores in any order
+    walked = sorted(data.draw(st.permutations(edges)), key=itemgetter(0),
+                    reverse=True)
+    descending = sorted(thresholds, reverse=True)
+    assert list(_closures(ids, walked, descending)) == [
+        _closure_at(n, ids, edges, t) for t in descending]
+    # one threshold that every edge reaches: the edges of disambiguate,
+    # taken in the order they come
+    t = min([s for s, _, _ in edges] + descending[-1:])
+    assert list(_closures(ids, data.draw(st.permutations(edges)), [t])) == [
+        _closure_at(n, ids, edges, t)]
 
 
 def test_transitive_closure_groups_unlinked_pair():

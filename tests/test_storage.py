@@ -60,6 +60,20 @@ def test_read_aliases_rejects_duplicate_and_empty_ids(tmp_path):
         f"{path}:2: empty alias id")
 
 
+@pytest.mark.parametrize("alias_id, shown", [(b"q\r4", r"q\r4"),
+                                             (b"q\r\n4", r"q\r\n4")])
+def test_read_aliases_rejects_an_id_holding_a_carriage_return(
+        tmp_path, alias_id, shown):
+    # csv.writer quotes a field holding "\n", but not one holding a lone
+    # "\r", so such an id would not read back from a partition or triage
+    # file
+    path = tmp_path / "cr.csv"
+    path.write_bytes(b'id,name,email\n"' + alias_id
+                     + b'",Ann Lee,ann@x.org\nq5,Ann Lee,ann@x.org\n')
+    assert _message(AliasFileError, read_aliases, path) == (
+        f"{path}:2: alias id '{shown}' holds a carriage return")
+
+
 def test_read_aliases_tolerates_bom_and_blank_lines(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes("﻿id,name,email\na1,x,y\n\na2,z,w\n".encode("utf-8"))
