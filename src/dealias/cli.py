@@ -162,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
                           f"(default {DEFAULT_CONFIG.min_len})")
     run.add_argument("--threads", type=int, default=1,
                      help="worker processes for the pair scan, at most one "
-                          "per core (default 1); must be at least 1")
+                          "per core (default 1), started by the platform's "
+                          "default start method; must be at least 1")
 
     p = sub.add_parser("disambiguate", parents=[inputs, run],
                        help="group aliases into authors")

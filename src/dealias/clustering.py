@@ -179,34 +179,6 @@ def _scan_stripe(rows):
     return _scan_rows(*_WORKER_STATE, rows)
 
 
-def _in_stripes(aliases: list[Alias], method: str, cfg: MatcherConfig,
-                partners, workers: int) -> list[tuple[float, int, int]]:
-    """:func:`_scan_rows` over the rows 0 .. n-2, in (i, j) order.
-
-    With ``workers`` > 1 and enough aliases the rows are dealt round-robin
-    to forked worker processes, which balances the uneven row lengths; the
-    scan's inputs are in place before the fork, so each worker has them
-    without a copy. At most ``min(workers, os.cpu_count(), n - 1)``
-    processes start, and the scan runs in this process where ``fork`` is
-    not available.
-    """
-    n = len(aliases)
-    rows = range(n - 1)
-    if workers > 1 and n >= _WORKERS_MIN_ALIASES:
-        import multiprocessing  # here, not at load: it slows every CLI start
-        procs = min(workers, os.cpu_count() or 1, n - 1)
-        if procs > 1 and "fork" in multiprocessing.get_all_start_methods():
-            stripes = [rows[w::procs] for w in range(procs)]
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(procs, initializer=_init_worker,
-                          initargs=(aliases, method, cfg, partners)) as pool:
-                chunks = pool.map(_scan_stripe, stripes)
-            found = [p for chunk in chunks for p in chunk]
-            found.sort(key=itemgetter(1, 2))
-            return found
-    return _scan_rows(aliases, method, cfg, partners, rows)
-
-
 def scored_pairs(aliases: list[Alias], method: str = DEFAULT_METHOD,
                  cfg: MatcherConfig = DEFAULT_CONFIG,
                  workers: int = 1) -> list[tuple[float, int, int]]:
@@ -215,14 +187,28 @@ def scored_pairs(aliases: list[Alias], method: str = DEFAULT_METHOD,
 
     Only the candidate pairs of :func:`blocking.candidate_partners` are
     scored; they provably include every pair that reaches the threshold.
-    ``workers`` > 1 splits the rows across processes; the candidate index is
-    built once, before the workers fork. The result is the same for any
-    worker count. Raises ``ValueError`` on ``workers`` below 1.
+    The index is built once, in this process. With ``workers`` > 1 and at
+    least ``_WORKERS_MIN_ALIASES`` aliases the rows are dealt round-robin,
+    which balances their uneven lengths, to a ``multiprocessing.Pool`` of
+    at most ``min(workers, os.cpu_count(), n - 1)`` processes, started the
+    platform's way. Under ``fork`` each worker inherits the scan's inputs;
+    under ``spawn`` and ``forkserver`` it unpickles them once. The result
+    is the same for any worker count. Raises ``ValueError`` on ``workers``
+    below 1.
     """
     _check_method(method)
     _check_workers(workers)
-    partners = candidate_partners(aliases, method, cfg)
-    return _in_stripes(aliases, method, cfg, partners, workers)
+    state = (aliases, method, cfg, candidate_partners(aliases, method, cfg))
+    n = len(aliases)
+    rows = range(n - 1)
+    procs = min(workers, os.cpu_count() or 1, n - 1)
+    if procs < 2 or n < _WORKERS_MIN_ALIASES:
+        return _scan_rows(*state, rows)
+    import multiprocessing  # here, not at load: it slows every CLI start
+    with multiprocessing.Pool(procs, initializer=_init_worker,
+                              initargs=state) as pool:
+        chunks = pool.map(_scan_stripe, [rows[w::procs] for w in range(procs)])
+    return sorted((p for chunk in chunks for p in chunk), key=itemgetter(1, 2))
 
 
 def matched_pairs(aliases: list[Alias], method: str = DEFAULT_METHOD,

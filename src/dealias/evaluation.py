@@ -173,8 +173,8 @@ def write_sweep_csv(rows: list[SweepRow], out) -> None:
         row.method,
         row.measure.value if row.measure is not None else "",
         f"{row.threshold:.10g}" if row.threshold is not None else "",
-        row.report.true_positives, row.report.false_positives,
-        row.report.false_negatives, f"{row.report.precision:.6f}",
+        str(row.report.true_positives), str(row.report.false_positives),
+        str(row.report.false_negatives), f"{row.report.precision:.6f}",
         f"{row.report.recall:.6f}", f"{row.report.f1:.6f}",
         f"{row.wall_time_s * 1000.0:.1f}",
     ] for row in rows), out)

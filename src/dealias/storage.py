@@ -123,13 +123,19 @@ def discard_stdout() -> None:
     os.close(devnull)
 
 
-def write_csv(header: list[str], rows: Iterable[Iterable], out) -> None:
-    """Write ``header`` and then ``rows`` as CSV lines ending in ``\\n`` to
-    ``out``: a path, an open text stream, or None for standard output."""
+def write_csv(header: list[str], rows: Iterable[Sequence[str]],
+              out) -> None:
+    """Write ``header`` and then ``rows`` of strings as CSV lines ending in
+    ``\\n`` to ``out``: a path, an open text stream, or None for standard
+    output. The writer quotes a field that holds ``\\n`` but not one that
+    holds a lone ``\\r``, which a reader takes for a line end, so a row with
+    ``\\r`` in any field is written with every field quoted."""
     with _text_output(out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(header)
-        writer.writerows(rows)
+        for row in rows:
+            (quoted if "\r" in "".join(row) else writer).writerow(row)
 
 
 def write_triage(rows: Iterable[tuple[str, Sequence[str], Sequence[str],

@@ -246,7 +246,8 @@ _SHARED_OPTION_HELP = {
     "--min-len": "--min-len MIN_LEN strings shorter than this never match "
                  "(default 3)",
     "--threads": "--threads THREADS worker processes for the pair scan, at "
-                 "most one per core (default 1)",
+                 "most one per core (default 1), started by the platform's "
+                 "default start method",
     "--stop-words": "--stop-words FILE replace the built-in stop-word list "
                     "(one token per line, '#' comments)",
 }

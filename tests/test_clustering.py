@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import combinations, permutations
 from math import inf
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -402,18 +406,13 @@ class _InProcessPool:
         return False
 
 
-class _FakeContext:
-    Pool = _InProcessPool
-
-
-def test_worker_pool_is_bounded_and_needs_fork(monkeypatch):
+def test_worker_pool_is_bounded_and_starts_without_fork(monkeypatch):
     import multiprocessing
     aliases = random_corpus(seed=11, n=40)
     cfg = MatcherConfig()
     expected = all_pairs_matches(aliases, "gambit", cfg)
     monkeypatch.setattr(clustering, "_WORKERS_MIN_ALIASES", 2)
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: _FakeContext())
+    monkeypatch.setattr(multiprocessing, "Pool", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     # no more processes than asked for, than cores, or than rows
     for workers, cores, n, size in [(100_000, 8, 40, 8), (100_000, 8, 5, 4),
@@ -425,12 +424,57 @@ def test_worker_pool_is_bounded_and_needs_fork(monkeypatch):
     # an unknown core count counts as one core: no pool
     monkeypatch.setattr(clustering.os, "cpu_count", lambda: None)
     assert matched_pairs(aliases, "gambit", cfg, workers=100_000) == expected
-    # where fork is unavailable the scan runs here, without a pool
+    # with only spawn available, the pool still starts
     monkeypatch.setattr(clustering.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                         lambda: ["spawn"])
+
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
     assert matched_pairs(aliases, "gambit", cfg, workers=4) == expected
-    assert _InProcessPool.sizes == [8, 4, 3]
+    assert _InProcessPool.sizes == [8, 4, 3, 4]
+
+
+# lowers the pool's size floor, counts the pools that start and forces two
+# cores, then prints whether two workers scan as one process and the oracle
+_POOL_SCRIPT = """
+import multiprocessing, os, sys
+multiprocessing.set_start_method(sys.argv[1])
+from dealias import clustering
+from dealias.rules import MatcherConfig
+from dealias.similarity import Measure
+from oracles import all_pairs_matches
+from synth import mixed_corpus
+clustering._WORKERS_MIN_ALIASES = 2
+os.cpu_count = lambda: 2
+started = []
+pool = multiprocessing.Pool
+multiprocessing.Pool = lambda *a, **k: started.append(a) or pool(*a, **k)
+aliases = mixed_corpus(seed=5, n=40)
+cfg = MatcherConfig(threshold=0.75, measure=Measure.JARO_WINKLER)
+assert clustering.candidate_partners(aliases, "gambit", cfg) is None
+one = clustering.matched_pairs(aliases, "gambit", cfg, workers=1)
+two = clustering.matched_pairs(aliases, "gambit", cfg, workers=2)
+print(len(started), len(one) > 0, one == two,
+      two == all_pairs_matches(aliases, "gambit", cfg))
+"""
+
+
+@pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
+def test_worker_pool_scans_as_one_process_under_start_method(start_method):
+    import multiprocessing
+    if start_method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{start_method} is not available here")
+    paths = [Path(clustering.__file__).parents[1], Path(__file__).parent]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(str(p) for p in paths)}
+    proc = subprocess.run([sys.executable, "-c", _POOL_SCRIPT, start_method],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True", "True", "True"]
 
 
 _two_labellings = st.integers(0, 8).flatmap(lambda n: st.tuples(
