@@ -243,51 +243,48 @@ def _check_same_ids(ids: Iterable[str], other: Iterable[str], name: str,
             f"{len(other - ids)} only in {other_name}")
 
 
-def _distinct(aliases: list[Alias]) -> tuple[list[int],
-                                             list[tuple[int, int]]]:
-    """The index of the first alias of each distinct record, and
-    ``(first, k)`` for each later alias k equal to alias ``first`` in every
-    field but the id: a copy."""
+def _distinct(aliases: list[Alias], method: str, cfg: MatcherConfig
+              ) -> tuple[list[int], list[tuple[float, int, int]]]:
+    """The indices of the aliases a scan must see, ascending, and a merge
+    edge (s, r, k) for each other alias k: a copy of alias r, equal to it
+    in every field but the id, whose record matches itself at every
+    threshold, s = :func:`pair_score` of (r, r) >= 1."""
+    self_score = lru_cache(maxsize=None)(
+        lambda r: pair_score(aliases[r], aliases[r], method, cfg))
     first: dict[tuple[str, ...], int] = {}
-    copies = []
+    scanned, copies = [], []
     for k, a in enumerate(aliases):
         r = first.setdefault((a.name, a.email, a.first_name,
                               a.penultimate_name, a.last_name,
                               a.email_base), k)
-        if r != k:
-            copies.append((r, k))
-    return list(first.values()), copies
+        if r != k and (s := self_score(r)) >= 1:
+            copies.append((s, r, k))
+        else:
+            scanned.append(k)
+    return scanned, copies
 
 
 def _merge_edges(aliases: list[Alias], method: str, cfg: MatcherConfig,
                  scan: Callable[[list[Alias]], Iterable]
                  ) -> Iterator[tuple[float, int, int]]:
     """The merge edges (s, i, j) over ``aliases``, each scoring at least
-    ``cfg.threshold``: the pairs that ``scan`` gives for the distinct
-    records of :func:`_distinct`, mapped back to the aliases, and then one
-    edge per copy, yielded as they come.
+    ``cfg.threshold``: the copy edges of :func:`_distinct`, and then the
+    pairs that ``scan`` gives for the other aliases, mapped back to
+    ``aliases`` as they come.
 
-    A copy decides every pair as its record does, so in the closure it
-    shares its record's cluster exactly when the record matches itself or
-    matches some other alias, which the copy then matches too. Its edge
-    scores the larger of the record's own score, against itself and
-    computed once, and the record's best score in the scan. The self-score
-    alone does not do: a one-token name is its own first and last name, so
-    its needles for rules 5 and 6 are one character longer than the name
-    and can pass the length gate when neither the name nor the email does.
+    A copy decides every pair as its record does, and the pair of the two
+    scores as the record against itself. Where that score is at least 1,
+    which no threshold in [0, 1] exceeds, their one edge puts the copy in
+    its record's cluster at every threshold, where each pair the copy
+    matches would put it too. Such a record has an identical key that
+    passes the length gate: the name or the email for gambit, the name or
+    the email base for bird and simple. Every other copy is scanned as an
+    alias of its own.
     """
-    reps, copies = _distinct(aliases)
-    best = [-inf] * len(aliases)
-    for s, i, j in scan([aliases[r] for r in reps]):
-        i, j = reps[i], reps[j]
-        # a comparison, not max(): a call per edge doubled the closure's time
-        best[i] = s if s > best[i] else best[i]
-        best[j] = s if s > best[j] else best[j]
-        yield s, i, j
-    for r in {r for r, _ in copies}:
-        best[r] = max(best[r], pair_score(aliases[r], aliases[r], method, cfg))
-    yield from ((best[r], r, k) for r, k in copies
-                if best[r] >= cfg.threshold)
+    scanned, copies = _distinct(aliases, method, cfg)
+    yield from copies
+    for s, i, j in scan([aliases[k] for k in scanned]):
+        yield s, scanned[i], scanned[j]
 
 
 def _closures(ids: list[str], edges: Iterable[tuple[float, int, int]],
@@ -317,12 +314,13 @@ def disambiguate(aliases: list[Alias], method: str = DEFAULT_METHOD,
     """Group aliases into authors: match all pairs, then take the
     transitive closure of the matches.
 
-    Each distinct cleaned alias is scanned once by :func:`matched_pairs`,
-    and copies join as :func:`_merge_edges` says. A matched pair scores at
-    least the threshold t, so each becomes an edge of score t, and every
-    edge reaches t. The closure is therefore :func:`_closures` at t alone,
-    which takes the edges in the order the scan gives them: none is held
-    again or sorted.
+    One :func:`matched_pairs` scan covers every alias but the copies that
+    :func:`_merge_edges` joins to their record directly: those of a record
+    that matches itself at every threshold. A matched pair scores at least
+    the threshold t, so each becomes an edge of score t, and a copy's edge
+    scores at least 1. Every edge reaches t, so the closure is
+    :func:`_closures` at t alone, which takes the edges in the order they
+    come: none is held again or sorted.
     """
     ids = _alias_ids(aliases)
     t = cfg.threshold

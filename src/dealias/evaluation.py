@@ -95,12 +95,12 @@ def sweep(aliases: list[Alias], truth: Partition,
     when its score is >= t. So each (method, measure) is scanned once, at the
     lowest threshold, and every threshold's partition is read from one
     union-find walk down the scored pairs, highest score first. The edges
-    and the walk are those of :func:`disambiguate`: each distinct cleaned
-    alias is scanned once, and a copy joins through its one edge. Each such
-    row's ``wall_time_s`` is an even share of its group's scan, edges and
-    sort, plus its own step of the walk and evaluation; the simple row's is
-    its one :func:`disambiguate` and evaluation. So the rows add up to the
-    sweep's time.
+    and the walk are those of :func:`disambiguate`: a copy of a record that
+    matches itself at every threshold joins it through one edge, and every
+    other alias is scanned. Each such row's ``wall_time_s`` is an even
+    share of its group's scan, edges and sort, plus its own step of the
+    walk and evaluation; the simple row's is its one :func:`disambiguate`
+    and evaluation. So the rows add up to the sweep's time.
 
     Before any scan, raises ``ValueError`` on no or an unknown method, no
     measure for a method that uses one, no or an out-of-range threshold, or

@@ -20,52 +20,24 @@ def _add_lane(peq: dict[str, int], s: str, offset: int) -> None:
         bit <<= 1
 
 
-def _myers_columns(peq: dict[str, int], mask: int, low: int,
-                   text: str) -> tuple[int, int]:
-    """Advance the edit-distance table of the patterns in ``peq`` over
-    ``text``, one column per character; return the last column's +1 and
-    -1 vertical-delta bit vectors ``(vp, vn)``.
-
-    Bit-parallel dynamic program (Myers, JACM 1999, in Hyyrö's 2001
-    formulation for edit distance): a column of the DP table over a pattern
-    is held as the bit vectors of its +1 and -1 vertical deltas, and each
-    character of the text advances the whole column with a few operations
-    on integers as wide as the pattern. ``peq[c]`` has bit k set where the
-    pattern's character k is ``c``, and ``mask`` covers the pattern's bits.
-
-    Several patterns can share the integers as lanes (Hyyrö, Fredriksson &
-    Navarro, JEA 2005). ``low`` has the lowest bit of each lane set, and
-    every lane must have a bit clear in ``mask`` just above it. That
-    separator takes the carry out of the lane in ``(eq & vp) + vp`` and the
-    lane's top bit when ``hp`` and ``hn`` shift, and the mask clears it
-    before it can reach the next lane. A lane's edit distance to ``text``
-    is ``len(text) + popcount(vp) - popcount(vn)`` over the lane's bits, as
-    the table's top row grows by one per column.
-    """
-    vp, vn = mask, 0
-    for c in text:
-        eq = peq.get(c, 0)
-        xv = eq | vn
-        xh = (((eq & vp) + vp) ^ vp) | eq
-        hp = vn | (mask & ~(xh | vp))
-        hn = vp & xh
-        # the top row grows by one per column: shift a +1 into every lane
-        hp = (hp << 1) | low
-        hn <<= 1
-        vp = mask & (hn | ~(xv | hp))
-        vn = hp & xv
-    return vp, vn
-
-
 @lru_cache(maxsize=1 << 18)
 def levenshtein_distance(s1: str, s2: str) -> int:
     """Minimum number of single-character insertions, deletions and
     substitutions that turn ``s1`` into ``s2``.
 
-    One lane of the bit-parallel column loop, with the shorter string as
-    the pattern. The cache keys on the ordered pair, so the package's
-    callers pass the smaller string first: a pair met in both orders is
-    then one entry.
+    Bit-parallel dynamic program (Myers, JACM 1999, in Hyyrö's 2001
+    formulation for edit distance), with the shorter string as the
+    pattern: a column of the DP table over the pattern is held as the bit
+    vectors of its +1 and -1 vertical deltas ``vp`` and ``vn``, and each
+    character of the longer string advances the whole column with a few
+    operations on integers as wide as the pattern. ``peq[c]`` has bit k
+    set where the pattern's character k is ``c``, and ``mask`` covers the
+    pattern's bits. The distance is the last column's bottom entry: its
+    top entry, ``len(s1)`` since the top row grows by one per column, plus
+    its deltas, ``popcount(vp) - popcount(vn)``.
+
+    The cache keys on the ordered pair, so the package's callers pass the
+    smaller string first: a pair met in both orders is then one entry.
     """
     if s1 == s2:
         return 0
@@ -75,7 +47,19 @@ def levenshtein_distance(s1: str, s2: str) -> int:
         return len(s1)
     peq: dict[str, int] = {}
     _add_lane(peq, s2, 0)
-    vp, vn = _myers_columns(peq, (1 << len(s2)) - 1, 1, s1)
+    mask = (1 << len(s2)) - 1
+    vp, vn = mask, 0
+    for c in s1:
+        eq = peq.get(c, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | (mask & ~(xh | vp))
+        hn = vp & xh
+        # the top row grows by one per column: shift a +1 into the pattern
+        hp = (hp << 1) | 1
+        hn <<= 1
+        vp = mask & (hn | ~(xv | hp))
+        vn = hp & xv
     return len(s1) + vp.bit_count() - vn.bit_count()
 
 
@@ -83,12 +67,18 @@ class LevenshteinRows:
     """Which of many strings lie within a Levenshtein similarity cutoff of
     one text, found for all of them at once.
 
-    The strings are packed as lanes of the same integers and advanced
-    together by one pass of the bit-parallel column loop over the text.
-    String k takes ``len(strings[k])`` bits plus one clear separator bit
-    above them; an empty string is a lane of no bits. The last string sits
-    in the lowest bits, so the strings from any ``start`` on fill the low
-    bits, and a row from ``start`` runs on integers only as wide as they.
+    The strings are packed as lanes of the same integers (Hyyrö,
+    Fredriksson & Navarro, JEA 2005) and advanced together by one pass of
+    :func:`levenshtein_distance`'s column loop over the text. String k
+    takes ``len(strings[k])`` bits plus one clear separator bit above
+    them; an empty string is a lane of no bits. ``low`` has the lowest bit
+    of each lane set, the +1 that each column shifts into every lane. The
+    separator takes the carry out of the lane in ``(eq & vp) + vp`` and the
+    lane's top bit when ``hp`` and ``hn`` shift, and ``mask``, which covers
+    the lanes' bits, clears it before it can reach the next lane. The last
+    string sits in the lowest bits, so the strings from any ``start`` on
+    fill the low bits, and a row from ``start`` runs on integers only as
+    wide as they.
 
     Each string also has a counter field of w bits in two more integers,
     starting at its lane's top bit. The bottom row of a lane's table starts
@@ -169,10 +159,10 @@ class LevenshteinRows:
         mask, low = self._mask & lane_window, self._low & lane_window
         top = self._top & lane_window
         vp, vn, plus, minus = mask, 0, 0, 0
-        # _myers_columns with the counters. One loop for both would cost
-        # every levenshtein_distance call the counters' four operations per
-        # column, about a quarter of its time; disambiguate makes the most
-        # such calls
+        # levenshtein_distance's loop with the counters. One loop for both
+        # would cost every levenshtein_distance call the counters' four
+        # operations per column, about a quarter of its time; disambiguate
+        # makes the most such calls
         for c in text:
             eq = peq.get(c, 0)
             xv = eq | vn

@@ -283,9 +283,9 @@ def test_disambiguate_equals_closure_of_all_pairs_at_the_gate_edge(
 
 
 def _assert_disambiguate_is_closure(aliases, method, measure, t, min_len):
-    # copies are scanned once and joined to their record when it matches
-    # itself or anything else; the result must still be the closure of
-    # every pair's decision
+    # a copy of a record that matches itself at every threshold is joined
+    # to it without a scan, and every other copy is scanned as an alias of
+    # its own; the result must still be the closure of every pair's decision
     cfg = MatcherConfig(threshold=t, measure=measure, min_len=min_len)
     component = closure_components(len(aliases),
                                    all_pairs_matches(aliases, method, cfg))
@@ -295,9 +295,13 @@ def _assert_disambiguate_is_closure(aliases, method, measure, t, min_len):
 
 def test_copies_are_scanned_once(monkeypatch):
     # cleaning drops the digits of "Person k <pk@example.org>": 2,000 equal
-    # records are one scan of one alias, not 1,999,000 matched pairs
+    # records are one scan of one alias, not 1,999,000 matched pairs. "al"
+    # with no email has no key past the length gate and does not match
+    # itself, so its copies are scanned, each as an alias of its own
     aliases = [make_alias(f"a{k:04d}", "person", "p@example org")
                for k in range(2000)]
+    short = [make_alias(f"a{k}", "al", "") for k in range(3)] + [
+        make_alias("b", "alan", "alan@x org")]
     calls = []
     scan = clustering.matched_pairs
 
@@ -307,7 +311,8 @@ def test_copies_are_scanned_once(monkeypatch):
 
     monkeypatch.setattr(clustering, "matched_pairs", counted)
     assert disambiguate(aliases).author_count() == 1
-    assert calls == [1]
+    assert disambiguate(short).author_count() == 4
+    assert calls == [1, 4]
 
 
 @settings(max_examples=300, deadline=None)

@@ -306,10 +306,13 @@ def test_sweep_scans_each_distinct_method_and_measure_once():
 
 
 def test_sweep_scans_copies_once(monkeypatch):
-    # 2,000 equal records: one scan of one alias, and every row joins them
+    # 2,000 equal records: one scan of one alias, and every row joins them.
+    # Copies of "al" with no email, which does not match itself, are each
+    # scanned; rule 6's "ala" in "alan" joins them to alan at 0.5 only
     aliases = [make_alias(f"a{k:04d}", "person", "p@example org")
                for k in range(2000)]
-    truth = Partition({a.id: "p" for a in aliases})
+    short = [make_alias(f"a{k}", "al", "") for k in range(3)] + [
+        make_alias("b", "alan", "alan@x org")]
     calls = []
     scan = evaluation.scored_pairs
 
@@ -318,9 +321,14 @@ def test_sweep_scans_copies_once(monkeypatch):
         return scan(scanned, *args)
 
     monkeypatch.setattr(evaluation, "scored_pairs", counted)
-    rows = sweep(aliases, truth, thresholds=(0.5, 0.95))
-    assert calls == [1]
+    rows = sweep(aliases, Partition({a.id: "p" for a in aliases}),
+                 thresholds=(0.5, 0.95))
     assert [r.report for r in rows] == [EvalReport(1999000, 0, 0)] * 2
+    rows = sweep(short, Partition({a.id: "p" for a in short}),
+                 thresholds=(0.5, 0.95))
+    assert [r.report for r in rows] == [EvalReport(6, 0, 0),
+                                        EvalReport(0, 0, 6)]
+    assert calls == [1, 4]
 
 
 def _reference_sweep(aliases, truth, measures, thresholds, min_len):
