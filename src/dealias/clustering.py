@@ -167,18 +167,6 @@ def _scan_rows(aliases: list[Alias], method: str, cfg: MatcherConfig,
     return found
 
 
-_WORKER_STATE = None
-
-
-def _init_worker(*state):
-    global _WORKER_STATE
-    _WORKER_STATE = state
-
-
-def _scan_stripe(rows):
-    return _scan_rows(*_WORKER_STATE, rows)
-
-
 def scored_pairs(aliases: list[Alias], method: str = DEFAULT_METHOD,
                  cfg: MatcherConfig = DEFAULT_CONFIG,
                  workers: int = 1) -> list[tuple[float, int, int]]:
@@ -191,10 +179,9 @@ def scored_pairs(aliases: list[Alias], method: str = DEFAULT_METHOD,
     least ``_WORKERS_MIN_ALIASES`` aliases the rows are dealt round-robin,
     which balances their uneven lengths, to a ``multiprocessing.Pool`` of
     at most ``min(workers, os.cpu_count(), n - 1)`` processes, started the
-    platform's way. Under ``fork`` each worker inherits the scan's inputs;
-    under ``spawn`` and ``forkserver`` it unpickles them once. The result
-    is the same for any worker count. Raises ``ValueError`` on ``workers``
-    below 1.
+    platform's way. Each worker receives the scan's inputs with its stripe,
+    the same way under every start method. The result is the same for any
+    worker count. Raises ``ValueError`` on ``workers`` below 1.
     """
     _check_method(method)
     _check_workers(workers)
@@ -205,9 +192,9 @@ def scored_pairs(aliases: list[Alias], method: str = DEFAULT_METHOD,
     if procs < 2 or n < _WORKERS_MIN_ALIASES:
         return _scan_rows(*state, rows)
     import multiprocessing  # here, not at load: it slows every CLI start
-    with multiprocessing.Pool(procs, initializer=_init_worker,
-                              initargs=state) as pool:
-        chunks = pool.map(_scan_stripe, [rows[w::procs] for w in range(procs)])
+    with multiprocessing.Pool(procs) as pool:
+        chunks = pool.starmap(_scan_rows,
+                              [(*state, rows[w::procs]) for w in range(procs)])
     return sorted((p for chunk in chunks for p in chunk), key=itemgetter(1, 2))
 
 

@@ -235,12 +235,15 @@ def triage_rows(aliases: list[Alias],
     ``itertools.compress``.
 
     Raises :class:`DuplicateAliasIdError` when two aliases share an id, and
-    ``ValueError`` unless 0 <= ``differ_cutoff`` <= 1, before the first
+    ``ValueError`` unless 0 <= ``differ_cutoff`` <= 1 or when an id holds a
+    carriage return, which no CSV output would read back, before the first
     row is decided.
     """
     if not 0.0 <= differ_cutoff <= 1.0:
         raise ValueError(f"differ cutoff out of range: {differ_cutoff}")
-    _alias_ids(aliases)
+    for alias_id in _alias_ids(aliases):
+        if "\r" in alias_id:
+            raise ValueError(f"alias id {alias_id!r} holds a carriage return")
     return _triage_rows(sorted(aliases, key=lambda a: a.id), differ_cutoff)
 
 
@@ -254,19 +257,17 @@ def _triage_rows(aliases: list[Alias], differ_cutoff: float
     for keys in (names, emails):
         dsu.union_equal(key or None for key in keys)
     roots = [dsu.find(k) for k in range(n)]
-    groups: dict[int, list[int]] = {}
-    place = [0] * n   # place[k]: k's position in its group
+    groups: dict[int, list[int]] = {}   # root -> its members, ascending
     for k, root in enumerate(roots):
-        group = groups.setdefault(root, [])
-        place[k] = len(group)
-        group.append(k)
+        groups.setdefault(root, []).append(k)
     name_rows = LevenshteinRows(names, differ_cutoff)
     email_rows = LevenshteinRows(emails, differ_cutoff)
     # selector[j]: pair (i, j) of the current row i is an auto-differ
     selector = bytearray(b"\1") * n
     for i in range(n):
         selector[i] = 0
-        matched = groups[roots[i]][place[i] + 1:]
+        group = groups[roots[i]]
+        matched = group[group.index(i) + 1:]
         close = set(name_rows.similar(names[i], i + 1))
         close.update(email_rows.similar(emails[i], i + 1))
         undecided = sorted(close.difference(matched))

@@ -397,12 +397,11 @@ class _InProcessPool:
 
     sizes = []
 
-    def __init__(self, processes, initializer, initargs):
+    def __init__(self, processes):
         self.sizes.append(processes)
-        initializer(*initargs)
 
-    def map(self, func, items):
-        return [func(item) for item in items]
+    def starmap(self, func, items):
+        return [func(*item) for item in items]
 
     def __enter__(self):
         return self

@@ -178,6 +178,10 @@ def test_triage_rows_check_their_input_before_the_first_row():
         triage_rows(aliases, differ_cutoff=2.0)
     with pytest.raises(DuplicateAliasIdError):
         triage_rows(aliases + aliases[:1])
+    # csv.writer leaves a lone "\r" unquoted, so the row would not read back
+    with pytest.raises(ValueError, match=r"'q\\r4' holds a carriage return"):
+        triage_rows([make_alias("q\r4", "ann lee", "ann@x org"),
+                     make_alias("q5", "ann lee", "ann@x org")])
     assert list(triage_rows(aliases)) == [("a", [], [], ["b"]),
                                           ("b", [], [], [])]
 

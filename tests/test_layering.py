@@ -1,6 +1,6 @@
 """The package's layers, read from its source: ``storage`` alone opens
-files, ``errors`` only declares exception types, and ``normalize`` only
-cleans text."""
+files, no function rebinds a module global, ``errors`` only declares
+exception types, and ``normalize`` only cleans text."""
 
 import ast
 from pathlib import Path
@@ -23,6 +23,13 @@ def test_only_storage_opens_files():
                     getattr(node.func, "attr", None)):
                 openers.add(path.name)
     assert openers == {"storage.py"}
+
+
+def test_no_function_holds_a_global_statement():
+    holders = {f"{path.name}:{node.lineno}" for path in SRC.glob("*.py")
+               for node in ast.walk(_tree(path.name))
+               if isinstance(node, ast.Global)}
+    assert not holders
 
 
 def test_errors_defines_only_exception_classes():
