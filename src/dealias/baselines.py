@@ -6,7 +6,8 @@ from math import inf
 from typing import Callable
 
 from .normalize import Alias
-from .rules import DEFAULT_CONFIG, MatcherConfig, exact_rules, gated_similarity
+from .rules import (DEFAULT_CONFIG, MatcherConfig, containment_rules,
+                    gated_similarity)
 
 
 def simple_match(a: Alias, b: Alias, cfg: MatcherConfig = DEFAULT_CONFIG) -> bool:
@@ -47,9 +48,8 @@ def bird_rule_score(a: Alias, b: Alias, m: int,
     :func:`rules.gambit_rule_score`, ``m`` is the ``min_len`` gate, ``sim``
     compares the full names and the email bases and ``part_sim`` the first
     and last names, both ``gated_similarity`` functions. The containment
-    conditions are gambit's rules 5-7."""
-    _, r5, r6, r7, _ = exact_rules(a, b, m)
-    if r5 or r6 or r7:
+    conditions are gambit's rules 5-7, :func:`rules.containment_rules`."""
+    if any(containment_rules(a, b, m)):
         return inf
     return max(sim(a.name, b.name),
                min(part_sim(a.first_name, b.first_name),

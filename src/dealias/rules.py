@@ -134,45 +134,42 @@ def gambit_rule_score(a: Alias, b: Alias, m: int,
 def exact_rules(a: Alias, b: Alias, m: int) -> tuple[float, ...]:
     """Rules 1, 5, 6, 7 and 8 of :func:`score_pair`, in that order:
     equality and containment, each 0 or its weight, with ``m`` the
-    ``min_len`` gate. Bird's containment conditions are rules 5-7."""
+    ``min_len`` gate."""
     # equal strings have equal lengths, so one length gates each equality
     r_name_eq = 1.0 if a.name == b.name and len(a.name) >= m else 0.0
+    r_email_eq = 2.0 if a.email == b.email and len(a.email) >= m else 0.0
+    return (r_name_eq, *containment_rules(a, b, m), r_email_eq)
+
+
+def containment_rules(a: Alias, b: Alias, m: int) -> tuple[float, ...]:
+    """Rules 5, 6 and 7 of :func:`score_pair`, in that order, each 0 or its
+    weight, with ``m`` the ``min_len`` gate. Bird's containment conditions
+    are these three rules."""
     base_a, base_b = a.email_base, b.email_base
     a5, a6, a7 = needles(a, m)
     b5, b6, b7 = needles(b, m)
-    r_initial_last = 1.0 if ((a5 and a5[0] in base_b and a5[1] in base_b)
-                             or (b5 and b5[0] in base_a and b5[1] in base_a)
-                             ) else 0.0
-    r_first_initial = 1.0 if ((a6 and a6[0] in base_b and a6[1] in base_b)
-                              or (b6 and b6[0] in base_a and b6[1] in base_a)
-                              ) else 0.0
-    r_both_in_base = 2.0 if ((a7 and a7[0] in base_b and a7[1] in base_b)
-                             or (b7 and b7[0] in base_a and b7[1] in base_a)
-                             ) else 0.0
-    r_email_eq = 2.0 if a.email == b.email and len(a.email) >= m else 0.0
-    return (r_name_eq, r_initial_last, r_first_initial, r_both_in_base,
-            r_email_eq)
+    return (1.0 if ((a5 and a5[0] in base_b and a5[1] in base_b)
+                    or (b5 and b5[0] in base_a and b5[1] in base_a)) else 0.0,
+            1.0 if ((a6 and a6[0] in base_b and a6[1] in base_b)
+                    or (b6 and b6[0] in base_a and b6[1] in base_a)) else 0.0,
+            2.0 if ((a7 and a7[0] in base_b and a7[1] in base_b)
+                    or (b7 and b7[0] in base_a and b7[1] in base_a)) else 0.0)
 
 
 def _graded_rules(a: Alias, b: Alias, sim: Callable[[str, str], float],
                   part_sim: Callable[[str, str], float]) -> tuple[float, ...]:
     """Rules 0, 2, 3, 4 and 9, in that order: similarities, each in
-    [0, 1]."""
-    r_name_sim = sim(a.name, b.name)
-    r_straight = min(part_sim(a.first_name, b.first_name),
-                     max(part_sim(a.last_name, b.last_name),
-                         part_sim(a.last_name, b.penultimate_name),
-                         part_sim(a.penultimate_name, b.last_name)))
-    r_swap_b = min(part_sim(a.first_name, b.last_name),
-                   max(part_sim(a.penultimate_name, b.first_name),
-                       part_sim(a.last_name, b.penultimate_name),
-                       part_sim(a.last_name, b.first_name)))
-    r_swap_a = min(part_sim(a.last_name, b.first_name),
-                   max(part_sim(a.penultimate_name, b.last_name),
-                       part_sim(a.first_name, b.penultimate_name),
-                       part_sim(a.first_name, b.last_name)))
-    r_base_sim = sim(a.email_base, b.email_base)
-    return r_name_sim, r_straight, r_swap_b, r_swap_a, r_base_sim
+    [0, 1]. Each of the eight pairs of a's and b's first, penultimate and
+    last names that the rules compare is compared once."""
+    fa, pa, la = a.first_name, a.penultimate_name, a.last_name
+    fb, pb, lb = b.first_name, b.penultimate_name, b.last_name
+    fa_lb, la_fb = part_sim(fa, lb), part_sim(la, fb)
+    la_pb, pa_lb = part_sim(la, pb), part_sim(pa, lb)
+    r_straight = min(part_sim(fa, fb), max(part_sim(la, lb), la_pb, pa_lb))
+    r_swap_b = min(fa_lb, max(part_sim(pa, fb), la_pb, la_fb))
+    r_swap_a = min(la_fb, max(pa_lb, part_sim(fa, pb), fa_lb))
+    return (sim(a.name, b.name), r_straight, r_swap_b, r_swap_a,
+            sim(a.email_base, b.email_base))
 
 
 def top_two_average(scores: Sequence[float]) -> float:

@@ -8,8 +8,10 @@ decisions for the match scan and triage. Bird's reference decision is its
 condition-by-condition form, not a threshold on its pair score.
 The containment predicates of rules 5-7 are kept as the matcher spelled
 them, one predicate per rule and direction, apart from ``rules.needles``
-and ``rules.exact_rules``: the containment tests and bird's reference
-decision use them.
+and ``rules.containment_rules``: the containment tests and bird's
+reference decision use them. The graded rules are spelled as
+``rules.score_pair`` defines them, one similarity per leg, with no leg
+shared between rules.
 """
 
 from __future__ import annotations
@@ -177,6 +179,27 @@ def containment_reference(a: Alias, b: Alias, min_len: int) -> set[int]:
     """The rules among 5-7 that hold for the pair, in either direction."""
     return {rule for rule, holds in CONTAINMENT_RULES.items()
             if holds(a, b, min_len) or holds(b, a, min_len)}
+
+
+def graded_rules_reference(a: Alias, b: Alias, cfg) -> tuple[float, ...]:
+    """Rules 0, 2, 3, 4 and 9 of ``rules.score_pair``, in that order: each
+    leg of each rule is its own ``gated_similarity(cfg)`` call."""
+    gs = gated_similarity(cfg)
+    name_sim = gs(a.name, b.name)
+    straight = min(gs(a.first_name, b.first_name),
+                   max(gs(a.last_name, b.last_name),
+                       gs(a.last_name, b.penultimate_name),
+                       gs(a.penultimate_name, b.last_name)))
+    swap_b = min(gs(a.first_name, b.last_name),
+                 max(gs(a.penultimate_name, b.first_name),
+                     gs(a.last_name, b.penultimate_name),
+                     gs(a.last_name, b.first_name)))
+    swap_a = min(gs(a.last_name, b.first_name),
+                 max(gs(a.penultimate_name, b.last_name),
+                     gs(a.first_name, b.penultimate_name),
+                     gs(a.first_name, b.last_name)))
+    base_sim = gs(a.email_base, b.email_base)
+    return name_sim, straight, swap_b, swap_a, base_sim
 
 
 # baselines.bird_match as it was before it became a threshold on

@@ -9,7 +9,7 @@ from dealias.baselines import bird_match
 from dealias.rules import (MatcherConfig, is_match, needles, score_pair,
                            top_two_average)
 from dealias.similarity import Measure
-from oracles import containment_reference
+from oracles import containment_reference, graded_rules_reference
 from synth import alias_lists, make_alias, random_alias
 import random
 
@@ -258,6 +258,30 @@ def test_graded_rules_score_at_most_one(aliases, measure, min_len):
     for a, b in combinations(aliases, 2):
         s = score_pair(a, b, cfg)
         assert all(0.0 <= s[k] <= 1.0 for k in _GRADED), (a, b, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alias_lists(max_size=6), st.sampled_from(list(Measure)),
+       st.integers(1, 4))
+# a three-token name against its rotation: the penultimate token is neither
+# the first nor the last, and every name part recurs in another position
+@example([make_alias("a", "anna bell lee", "abl@x"),
+          make_alias("b", "bell lee anna", "bla@x")],
+         Measure.LEVENSHTEIN, 1)
+@example([make_alias("a", "anna bell lee", ""),
+          make_alias("b", "lee anna bell", "")],
+         Measure.JARO_WINKLER, 3)
+# a one-token name is its own first, penultimate and last name
+@example([make_alias("a", "anna", "anna@x"),
+          make_alias("b", "anna lee", "alee@x")],
+         Measure.LEVENSHTEIN, 3)
+def test_graded_rules_equal_the_oracle(aliases, measure, min_len):
+    cfg = MatcherConfig(measure=measure, min_len=min_len)
+    for a, b in combinations(aliases, 2):
+        for x, y in ((a, b), (b, a)):
+            s = score_pair(x, y, cfg)
+            assert tuple(s[k] for k in _GRADED) == graded_rules_reference(
+                x, y, cfg), (x, y)
 
 
 @settings(max_examples=300, deadline=None)
